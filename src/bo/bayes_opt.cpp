@@ -253,11 +253,22 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
 std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
                                                     const search::SearchSpace& space,
                                                     std::size_t k) const {
+  return suggest_batch(db, space, k, std::nullopt, /*search=*/true).configs;
+}
+
+BayesOpt::Batch BayesOpt::suggest_batch(const search::EvalDb& db,
+                                        const search::SearchSpace& space, std::size_t k,
+                                        const std::optional<GpHyperparams>& held,
+                                        bool search) const {
   const auto evals = db.all();
   if (evals.empty()) {
     throw std::invalid_argument("BayesOpt::suggest_batch: empty evaluation database");
   }
-  tunekit::Rng rng(options_.seed ^ 0xba7c4);
+  // Separate streams: the search's random restarts draw from one, the
+  // acquisition (multistarts, duplicate and failure fallbacks) from the
+  // other, so searching never shifts what the acquisition draws.
+  tunekit::Rng hyperopt_rng(options_.seed ^ 0xba7c4);
+  tunekit::Rng rng(options_.seed ^ 0xac9f1);
   obs::Telemetry* telemetry = options_.telemetry;
   const bool traced = telemetry != nullptr && telemetry->enabled();
 
@@ -289,8 +300,9 @@ std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
     const TransferPrior& prior = *options_.transfer;
     gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
   }
+  if (held) gp.set_hyperparams(*held);
 
-  std::vector<search::Config> batch;
+  Batch out;
   std::vector<search::Evaluation> seen;
   for (const auto& e : evals) seen.push_back(e);
 
@@ -301,9 +313,10 @@ std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
     }
     try {
       Stopwatch fit_watch;
-      if (b == 0) {
-        gp.fit_with_hyperopt(std::move(x), y, rng, options_.hyperopt_restarts,
+      if (b == 0 && search) {
+        gp.fit_with_hyperopt(std::move(x), y, hyperopt_rng, options_.hyperopt_restarts,
                              options_.hyperopt_max_iters);
+        out.searched = gp.hyperparams();
       } else {
         gp.fit(std::move(x), y);
       }
@@ -314,7 +327,7 @@ std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
       }
     } catch (const std::exception& e) {
       log_warn("bo: suggest_batch surrogate failed (", e.what(), "); random fill");
-      batch.push_back(space.sample_valid(rng));
+      out.configs.push_back(space.sample_valid(rng));
       continue;
     }
 
@@ -342,9 +355,9 @@ std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
     unit_points.push_back(space.encode_unit(proposal));
     y.push_back(best_value);
     seen.push_back({proposal, best_value, 0.0});
-    batch.push_back(std::move(proposal));
+    out.configs.push_back(std::move(proposal));
   }
-  return batch;
+  return out;
 }
 
 }  // namespace tunekit::bo

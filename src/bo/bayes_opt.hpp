@@ -41,9 +41,11 @@ struct BoOptions {
   AcquisitionParams acq_params;
   AcquisitionMaximizerOptions maximizer;
 
-  /// Re-optimize GP hyperparameters every this many BO iterations (1 =
-  /// every iteration). Between re-optimizations the GP refits with the
-  /// current hyperparameters only.
+  /// Re-optimize GP hyperparameters every this many BO iterations in run(),
+  /// or every this many completed evaluations in a service::TuningSession
+  /// (1 = every time). Between re-optimizations the GP refits with the
+  /// current hyperparameters only; 0 = never re-optimize, the GP keeps the
+  /// isotropic defaults.
   std::size_t hyperopt_every = 5;
   std::size_t hyperopt_restarts = 2;
   /// Nelder-Mead iteration cap per hyperparameter optimization.
@@ -108,10 +110,30 @@ class BayesOpt {
   /// Suggest `k` configurations to evaluate in parallel, without evaluating
   /// anything (constant-liar batching): each accepted suggestion is added to
   /// the surrogate as a pseudo-observation at the incumbent best value, so
-  /// later suggestions explore elsewhere. Requires a non-empty database.
+  /// later suggestions explore elsewhere. The GP's hyperparameters are
+  /// searched from the isotropic defaults. Requires a non-empty database.
   std::vector<search::Config> suggest_batch(const search::EvalDb& db,
                                             const search::SearchSpace& space,
                                             std::size_t k) const;
+
+  /// A suggest_batch() result that also reports the hyperparameter search.
+  struct Batch {
+    std::vector<search::Config> configs;
+    /// Set when this call ran the hyperparameter search and fitted with its
+    /// result: the hyperparameters the caller should hold from now on.
+    std::optional<GpHyperparams> searched;
+  };
+
+  /// suggest_batch() with GP hyperparameters the caller holds between calls
+  /// (`held`; nullopt = the isotropic defaults). With `search`, the batch's
+  /// first fit runs the hyperparameter search warm-started from `held`;
+  /// without, every fit is one plain refit with `held`. The acquisition
+  /// draws from its own random stream, so a call that reuses hyperparameters
+  /// proposes exactly what a call that searched its way to the same values
+  /// proposes.
+  Batch suggest_batch(const search::EvalDb& db, const search::SearchSpace& space,
+                      std::size_t k, const std::optional<GpHyperparams>& held,
+                      bool search) const;
 
  private:
   BoOptions options_;

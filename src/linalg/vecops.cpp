@@ -35,8 +35,13 @@ double scaled_squared_distance(const std::vector<double>& a, const std::vector<d
                                const std::vector<double>& scale) {
   check_same_size(a.size(), b.size(), "scaled_squared_distance");
   check_same_size(a.size(), scale.size(), "scaled_squared_distance(scale)");
+  return scaled_squared_distance(a.data(), b.data(), scale.data(), a.size());
+}
+
+double scaled_squared_distance(const double* a, const double* b, const double* scale,
+                               std::size_t n) {
   double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double d = (a[i] - b[i]) / scale[i];
     acc += d * d;
   }

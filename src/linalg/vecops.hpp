@@ -14,6 +14,10 @@ double squared_distance(const std::vector<double>& a, const std::vector<double>&
 /// ARD kernels.
 double scaled_squared_distance(const std::vector<double>& a, const std::vector<double>& b,
                                const std::vector<double>& scale);
+/// The same sum over `n` contiguous coordinates (e.g. Matrix::row_ptr rows),
+/// unchecked and allocation-free; the vector overload delegates here.
+double scaled_squared_distance(const double* a, const double* b, const double* scale,
+                               std::size_t n);
 
 std::vector<double> add(const std::vector<double>& a, const std::vector<double>& b);
 std::vector<double> sub(const std::vector<double>& a, const std::vector<double>& b);

@@ -658,24 +658,38 @@ std::size_t SessionManager::resident() const {
 // LRU-evict idle journaled sessions down to max_resident: flush the metrics
 // snapshot, destroy the session (its journal is the durable state), and let
 // the next touch resume it. Busy entries (mutex held by a live request) are
-// skipped — eviction must never block or deadlock a request.
+// skipped — eviction must never block or deadlock a request — and so are
+// sessions with candidates out for evaluation: resume treats those as
+// crash-interrupted and re-issues them, which would hand a candidate to a
+// second client and reject the first client's tell.
 void SessionManager::evict_excess() {
   if (options_.journal_dir.empty()) return;
-  auto entries = all_entries();
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a->last_used < b->last_used; });
+  // Snapshot each entry's last_used under its shard lock, then sort the
+  // snapshot: find_or_load rewrites last_used under that lock, so sorting
+  // the live entries would race it (and hand std::sort an inconsistent
+  // order, which is undefined behaviour).
+  std::vector<std::pair<std::chrono::steady_clock::time_point, std::shared_ptr<Entry>>>
+      lru;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (const auto& [id, entry] : shard->map) lru.emplace_back(entry->last_used, entry);
+  }
+  std::sort(lru.begin(), lru.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   // Count residents with a non-blocking pass; stale counts only make
   // eviction slightly late, never wrong.
   std::size_t live = 0;
-  for (const auto& entry : entries) {
+  for (const auto& [used, entry] : lru) {
     std::unique_lock<std::mutex> lock(entry->mutex, std::try_to_lock);
     if (!lock.owns_lock() || entry->session) ++live;
   }
   if (live <= options_.max_resident) return;
-  for (const auto& entry : entries) {
+  for (const auto& [used, entry] : lru) {
     if (live <= options_.max_resident) break;
     std::unique_lock<std::mutex> lock(entry->mutex, std::try_to_lock);
-    if (!lock.owns_lock() || !entry->session) continue;
+    if (!lock.owns_lock() || !entry->session || entry->session->outstanding() > 0) {
+      continue;
+    }
     entry->session->flush_metrics();
     entry->session.reset();
     entry->app.reset();

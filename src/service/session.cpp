@@ -70,6 +70,39 @@ SessionMetrics SessionMetrics::from_json(const json::Value& snapshot) {
   return m;
 }
 
+json::Value TuningSession::HeldGp::to_json() const {
+  json::Array ls;
+  for (double l : hp.lengthscales) ls.emplace_back(l);
+  json::Object snap;
+  snap["sv"] = json::Value(hp.signal_variance);
+  snap["nv"] = json::Value(hp.noise_variance);
+  snap["ls"] = json::Value(std::move(ls));
+  snap["at"] = json::Value(at);
+  return json::Value(std::move(snap));
+}
+
+std::optional<TuningSession::HeldGp> TuningSession::HeldGp::from_json(
+    const json::Value& snapshot, std::size_t dim) {
+  const auto usable = [](double v) { return std::isfinite(v) && v > 0.0; };
+  HeldGp held;
+  try {
+    held.hp.signal_variance = snapshot.at("sv").as_number();
+    held.hp.noise_variance = snapshot.at("nv").as_number();
+    for (const auto& l : snapshot.at("ls").as_array()) {
+      held.hp.lengthscales.push_back(l.as_number());
+    }
+    held.at = static_cast<std::size_t>(snapshot.at("at").as_number());
+  } catch (const json::JsonError&) {
+    return std::nullopt;
+  }
+  const auto& ls = held.hp.lengthscales;
+  if (ls.size() != dim || !usable(held.hp.signal_variance) ||
+      !usable(held.hp.noise_variance) || !std::all_of(ls.begin(), ls.end(), usable)) {
+    return std::nullopt;
+  }
+  return held;
+}
+
 namespace {
 
 bo::BoOptions surrogate_options(const SessionOptions& o) {
@@ -200,6 +233,17 @@ std::unique_ptr<TuningSession> TuningSession::resume(const search::SearchSpace& 
     session->replay_.put(key, std::move(resp));
   }
   session->next_id_ = std::max(session->next_id_, replayed.next_id);
+  // The held GP hyperparameters come back as journaled, so the next
+  // surrogate ask refits or searches exactly as the killed session's would
+  // have. Without a usable gp record (legacy journal, no search yet) none
+  // are held, and the first surrogate ask searches; with hyperopt_every 0
+  // none are held either, so the GP keeps the isotropic defaults.
+  if (session->options_.bo.hyperopt_every > 0 && !replayed.gp.is_null()) {
+    session->gp_ = HeldGp::from_json(replayed.gp, space.size());
+    if (!session->gp_) {
+      log_warn("session: ignoring unusable gp record in '", journal_path, "'");
+    }
+  }
   if (session->structure_) {
     // Restore the learned structure exactly: the journaled snapshot carries
     // the affinity matrix, active partition, policy state, and adoption
@@ -485,7 +529,7 @@ void TuningSession::maybe_compact_locked() {
   for (const auto& c : reissue_) in_flight.push_back(c);
   store_->compact(make_header(), db_.all(), in_flight, quarantine_.configs(),
                   metrics_snapshot_locked(), replay_.entries(),
-                  structure_snapshot_locked());
+                  structure_snapshot_locked(), gp_ ? gp_->to_json() : json::Value());
 }
 
 json::Value TuningSession::structure_snapshot_locked() const {
@@ -541,6 +585,11 @@ std::size_t TuningSession::issuable_locked() const {
   return left;
 }
 
+bool TuningSession::hyperopt_due_locked() const {
+  const std::size_t every = options_.bo.hyperopt_every;
+  return every > 0 && (!gp_ || db_.size() >= gp_->at + every);
+}
+
 std::vector<search::Config> TuningSession::generate_locked(std::size_t n) {
   std::vector<search::Config> out;
   out.reserve(n);
@@ -580,12 +629,24 @@ std::vector<search::Config> TuningSession::generate_locked(std::size_t n) {
     for (const auto& [id, p] : pending_) liar_db.record(p.candidate.config, incumbent);
     for (const auto& c : reissue_) liar_db.record(c.config, incumbent);
     for (const auto& cfg : out) liar_db.record(cfg, incumbent);
+    std::optional<bo::BayesOpt::Batch> batch;
     try {
-      auto batch = bo_.suggest_batch(liar_db, space_, want);
-      for (auto& cfg : batch) out.push_back(std::move(cfg));
-      return out;
+      batch = bo_.suggest_batch(liar_db, space_, want,
+                                gp_ ? std::optional(gp_->hp) : std::nullopt,
+                                hyperopt_due_locked());
     } catch (const std::exception& e) {
       log_warn("session: suggest_batch failed (", e.what(), "); random fill");
+    }
+    if (batch) {
+      if (batch->searched) {
+        // Journaled before the asks it shaped: a kill in between resumes
+        // holding these values, and the regenerated ask — a plain refit
+        // with them — proposes what this one does.
+        gp_ = HeldGp{std::move(*batch->searched), db_.size()};
+        if (store_) store_->gp(gp_->to_json());
+      }
+      for (auto& cfg : batch->configs) out.push_back(std::move(cfg));
+      return out;
     }
   }
   // No usable surrogate yet (everything failed so far, or it broke down):

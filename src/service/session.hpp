@@ -12,16 +12,20 @@
 // is exhausted and ask() returns nothing.
 //
 // Backends: Bo (initial design, then BayesOpt::suggest_batch constant-liar
-// batches; pending candidates act as liars so repeated asks don't duplicate),
-// Random (each candidate id maps to a deterministic valid sample — the
-// sequence is identical no matter how asks and tells interleave), and Grid
-// (a stride-subsampled factorial enumeration, for the executor's exhaustive
+// batches; pending candidates act as liars so repeated asks don't duplicate;
+// the GP hyperparameters are held between asks and searched again, warm-
+// started, only every `bo.hyperopt_every` completed evaluations), Random
+// (each candidate id maps to a deterministic valid sample — the sequence is
+// identical no matter how asks and tells interleave), and Grid (a
+// stride-subsampled factorial enumeration, for the executor's exhaustive
 // searches).
 //
 // With a SessionStore attached every event is journaled durably, and
 // resume() reconstructs a killed session: completed evaluations are
 // restored, in-flight candidates are re-issued (before any new suggestion),
-// and the remaining budget is exactly what it was.
+// the held GP hyperparameters come back from their {"e":"gp"} record, and
+// the remaining budget is exactly what it was — so the resumed session asks
+// exactly what the killed one would have.
 
 #include <chrono>
 #include <deque>
@@ -65,7 +69,9 @@ struct SessionOptions {
   SessionBackend backend = SessionBackend::Bo;
   /// Surrogate/acquisition settings for the Bo backend. Its budget,
   /// checkpoint, and seed fields are ignored — the session's own fields
-  /// govern those.
+  /// govern those. `hyperopt_every` counts completed evaluations: the held
+  /// hyperparameters are searched again once that many have completed since
+  /// the last search (0 = never search; the GP keeps the isotropic defaults).
   bo::BoOptions bo;
 
   /// A candidate not told within this many seconds of issue is treated as a
@@ -260,6 +266,19 @@ class TuningSession {
     std::chrono::steady_clock::time_point issued_at;
   };
 
+  /// GP hyperparameters the Bo backend holds between asks, and the number of
+  /// completed evaluations when the search that found them ran. Journaled as
+  /// the {"e":"gp"} snapshot record.
+  struct HeldGp {
+    bo::GpHyperparams hp;
+    std::size_t at = 0;
+
+    json::Value to_json() const;
+    /// nullopt unless `snapshot` holds `dim` lengthscales and positive,
+    /// finite values.
+    static std::optional<HeldGp> from_json(const json::Value& snapshot, std::size_t dim);
+  };
+
   JournalHeader make_header() const;
   json::Value metrics_snapshot_locked() const;
   /// Feed one completed observation to the structure learner; journals a
@@ -276,6 +295,9 @@ class TuningSession {
                      double duration_ms = 0.0, int worker_slot = -1);
   void maybe_compact_locked();
   std::size_t issuable_locked() const;
+  /// The next surrogate ask searches the hyperparameters: none are held yet,
+  /// or bo.hyperopt_every evaluations have completed since the last search.
+  bool hyperopt_due_locked() const;
   std::vector<search::Config> generate_locked(std::size_t n);
   SessionStatus status_locked() const;
 
@@ -284,6 +306,7 @@ class TuningSession {
   std::unique_ptr<SessionStore> store_;
   robust::CrashQuarantine quarantine_;
   bo::BayesOpt bo_;
+  std::optional<HeldGp> gp_;
   std::vector<search::Config> init_design_;
   std::vector<search::Config> grid_;
   search::EvalDb db_;

@@ -73,6 +73,14 @@ json::Value ask_value(const Candidate& c) {
   return json::Value(std::move(obj));
 }
 
+/// A "latest wins" record: {"e":kind,"snap":snapshot}.
+json::Value snapshot_value(const char* kind, const json::Value& snapshot) {
+  json::Object obj;
+  obj["e"] = json::Value(kind);
+  obj["snap"] = snapshot;
+  return json::Value(std::move(obj));
+}
+
 json::Value cont_value(std::uint64_t seq) {
   json::Object obj;
   obj["e"] = json::Value("cont");
@@ -680,17 +688,15 @@ void SessionStore::quarantine(const search::Config& config) {
 }
 
 void SessionStore::metrics(const json::Value& snapshot) {
-  json::Object obj;
-  obj["e"] = json::Value("metrics");
-  obj["snap"] = snapshot;
-  append_record(json::Value(std::move(obj)));
+  append_record(snapshot_value("metrics", snapshot));
 }
 
 void SessionStore::structure(const json::Value& snapshot) {
-  json::Object obj;
-  obj["e"] = json::Value("struct");
-  obj["snap"] = snapshot;
-  append_record(json::Value(std::move(obj)));
+  append_record(snapshot_value("struct", snapshot));
+}
+
+void SessionStore::gp(const json::Value& snapshot) {
+  append_record(snapshot_value("gp", snapshot));
 }
 
 void SessionStore::rpc(const std::string& key, const std::string& response) {
@@ -716,7 +722,7 @@ void SessionStore::compact(
     const std::vector<search::Config>& quarantined,
     const json::Value& metrics_snapshot,
     const std::vector<std::pair<std::string, std::string>>& rpc_cache,
-    const json::Value& structure_snapshot) {
+    const json::Value& structure_snapshot, const json::Value& gp_snapshot) {
   if (poisoned_) {
     throw StorePoisonedError("SessionStore: store for '" + path_ +
                              "' is poisoned; refusing to compact");
@@ -735,8 +741,9 @@ void SessionStore::compact(
   db.save(snapshot, io_);
   header.snapshot = snapshot;
 
-  // 2. Rewrite the journal as header + in-flight asks (+ quarantine and
-  //    metrics records, so both survive the rewrite), atomically.
+  // 2. Rewrite the journal as header + in-flight asks (+ quarantine, replay
+  //    and latest-wins snapshot records, so they survive the rewrite),
+  //    atomically.
   const std::string tmp = path_ + ".tmp";
   const std::size_t saved_bytes = active_bytes_;
   const std::size_t saved_records = active_records_;
@@ -767,17 +774,13 @@ void SessionStore::compact(
         obj["resp"] = json::Value(resp);
         append_record(json::Value(std::move(obj)), /*allow_rotation=*/false);
       }
-      if (!metrics_snapshot.is_null()) {
-        json::Object obj;
-        obj["e"] = json::Value("metrics");
-        obj["snap"] = metrics_snapshot;
-        append_record(json::Value(std::move(obj)), /*allow_rotation=*/false);
-      }
-      if (!structure_snapshot.is_null()) {
-        json::Object obj;
-        obj["e"] = json::Value("struct");
-        obj["snap"] = structure_snapshot;
-        append_record(json::Value(std::move(obj)), /*allow_rotation=*/false);
+      const std::pair<const char*, const json::Value*> latest[] = {
+          {"metrics", &metrics_snapshot},
+          {"struct", &structure_snapshot},
+          {"gp", &gp_snapshot}};
+      for (const auto& [kind, snapshot] : latest) {
+        if (snapshot->is_null()) continue;
+        append_record(snapshot_value(kind, *snapshot), /*allow_rotation=*/false);
       }
     } catch (...) {
       io_->close(file_);
@@ -857,6 +860,11 @@ void apply_events(const std::vector<json::Value>& events,
         // as metrics. Journals without any struct record (legacy sessions,
         // structure learning off) simply leave Replay::structure null.
         if (v.contains("snap")) out.structure = v.at("snap");
+        continue;
+      }
+      if (e == "gp") {
+        // Held GP hyperparameters: latest wins, as for metrics and struct.
+        if (v.contains("snap")) out.gp = v.at("snap");
         continue;
       }
       if (e == "rpc") {

@@ -41,6 +41,15 @@
 //                                                       rewritten by compaction, so
 //                                                       resume restores the living
 //                                                       partition exactly
+//   {"e":"gp","snap":{"sv":S,"nv":N,"ls":[...],"at":C}} GP hyperparameters a Bo
+//                                                       session holds between
+//                                                       asks (signal variance,
+//                                                       noise variance, one
+//                                                       lengthscale per dim) and
+//                                                       the completed count when
+//                                                       the search that found them
+//                                                       ran: latest wins on replay,
+//                                                       rewritten by compaction
 //   {"e":"rpc","key":K,"resp":R}                        idempotency-key replay
 //                                                       entry: the serialized
 //                                                       response already sent for
@@ -199,6 +208,9 @@ class SessionStore {
     /// learned affinity matrix + active partition a resumed session's
     /// structure::OnlineLearner restores byte-for-byte.
     json::Value structure;
+    /// Latest held GP hyperparameter snapshot (null Value when none: a
+    /// legacy journal, a non-Bo backend, or no search has run yet).
+    json::Value gp;
     /// Idempotency-key replay entries in journal order (oldest first, later
     /// records for the same key superseding earlier ones): the responses a
     /// resumed session must keep answering retried requests with.
@@ -288,6 +300,9 @@ class SessionStore {
   /// Journal a learned dependency-structure snapshot (latest wins on
   /// replay). Pass the same snapshot to compact() so it survives rewrites.
   void structure(const json::Value& snapshot);
+  /// Journal the GP hyperparameters a session holds (latest wins on replay).
+  /// Pass the same snapshot to compact() so it survives rewrites.
+  void gp(const json::Value& snapshot);
   /// Journal an idempotency-key replay entry: `response` is what was (or is
   /// about to be) answered for request key `key`; after a crash the resumed
   /// session replays it for a retried request instead of re-executing.
@@ -296,15 +311,16 @@ class SessionStore {
   void salvage_marker(std::size_t lost_records, std::size_t corrupt_segments);
 
   /// Fold `completed` into an EvalDb snapshot (atomic rename) and rewrite
-  /// the journal to header + in-flight asks + quarantine records + the
-  /// latest metrics snapshot (atomic rename); sealed segments older than the
-  /// rewritten header are retired.
+  /// the journal to header + in-flight asks + quarantine and replay records
+  /// + the latest metrics, structure and GP snapshots (atomic rename);
+  /// sealed segments older than the rewritten header are retired.
   void compact(JournalHeader header, const std::vector<search::Evaluation>& completed,
                const std::vector<Candidate>& in_flight,
                const std::vector<search::Config>& quarantined = {},
                const json::Value& metrics_snapshot = json::Value(),
                const std::vector<std::pair<std::string, std::string>>& rpc_cache = {},
-               const json::Value& structure_snapshot = json::Value());
+               const json::Value& structure_snapshot = json::Value(),
+               const json::Value& gp_snapshot = json::Value());
 
  private:
   SessionStore(std::FILE* file, std::string path, const Options& options,

@@ -413,6 +413,172 @@ TEST(TuningSession, ResumeRejectsSpaceMismatch) {
   std::remove(path.c_str());
 }
 
+// Held GP hyperparameters. With n_init 4 and hyperopt_every 3, driven by
+// ask(1)/tell, the surrogate asks at 4..13 completed evaluations search at
+// 4, 7, 10 and 13 and refit with the held values in between.
+SessionOptions held_gp_options(std::size_t compact_every) {
+  SessionOptions opt;
+  opt.max_evals = 14;
+  opt.n_init = 4;
+  opt.backend = SessionBackend::Bo;
+  opt.bo.hyperopt_every = 3;
+  opt.compact_every = compact_every;
+  opt.seed = 31;
+  return opt;
+}
+
+/// ask(1) -> tell until `stop_at` evaluations have completed.
+void drive_until(TuningSession& session, std::size_t stop_at) {
+  while (session.completed() < stop_at) {
+    const auto batch = session.ask(1);
+    ASSERT_EQ(batch.size(), 1u);
+    ASSERT_TRUE(session.tell(batch[0].id, sphere(batch[0].config)));
+  }
+}
+
+void remove_journal(const std::string& path) {
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".snapshot.json");
+}
+
+std::vector<std::string> journal_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const std::string& path, const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const auto& line : lines) out << line << '\n';
+}
+
+bool is_gp_record(const std::string& line) {
+  return line.find("\"e\":\"gp\"") != std::string::npos;
+}
+
+/// The "at" field of every gp record, in journal order (framed v2 lines:
+/// the JSON payload follows the CRC and a space).
+std::vector<std::size_t> gp_record_ats(const std::string& path) {
+  std::vector<std::size_t> ats;
+  for (const auto& line : journal_lines(path)) {
+    if (!is_gp_record(line)) continue;
+    const json::Value snap = json::parse(line.substr(line.find(' ') + 1)).at("snap");
+    EXPECT_EQ(snap.at("ls").as_array().size(), 2u);
+    ats.push_back(static_cast<std::size_t>(snap.at("at").as_number()));
+  }
+  return ats;
+}
+
+// A kill between a tell and the next ask, mid-cadence (the held values came
+// from an earlier search), must resume holding those values: the resumed
+// session then refits and searches exactly when the killed one would have.
+// compact_every 3 puts a compaction right before the kill at 6, so the gp
+// record must also survive the journal rewrite.
+TEST(TuningSession, HeldHyperparamsResumeExactlyMidCadence) {
+  const auto space = two_dim_space();
+  for (std::size_t compact_every : {0u, 3u}) {
+    const SessionOptions opt = held_gp_options(compact_every);
+    TuningSession reference(space, opt);
+    drive_until(reference, opt.max_evals);
+    const std::vector<double> expected = reference.to_result().values;
+    for (std::size_t kill_at : {6u, 8u, 11u}) {
+      const std::string path = temp_path("tunekit_session_gp_kill.jsonl");
+      remove_journal(path);
+      {
+        TuningSession victim(space, opt, path);
+        drive_until(victim, kill_at);
+      }
+      auto resumed = TuningSession::resume(space, opt, path);
+      EXPECT_EQ(resumed->completed(), kill_at);
+      drive_until(*resumed, opt.max_evals);
+      EXPECT_EQ(resumed->to_result().values, expected)
+          << "killed after " << kill_at << " evaluations, compact_every "
+          << compact_every;
+      remove_journal(path);
+    }
+  }
+}
+
+// The gp record is journaled before the ask it shaped. A kill between the
+// two resumes holding the searched values, and the regenerated ask — a
+// plain refit with them — proposes what the searching ask did.
+TEST(TuningSession, KillBetweenGpRecordAndItsAskResumesExactly) {
+  const auto space = two_dim_space();
+  SessionOptions opt = held_gp_options(/*compact_every=*/0);
+  // A coarse argmax (few candidates, no refinement) makes each proposal
+  // depend on the acquisition's random draws, so any shift in them shows.
+  opt.bo.maximizer.n_candidates = 32;
+  opt.bo.maximizer.refine_iters = 0;
+  const std::string path = temp_path("tunekit_session_gp_cut.jsonl");
+  remove_journal(path);
+  std::vector<double> expected;
+  {
+    TuningSession reference(space, opt, path);
+    drive_until(reference, opt.max_evals);
+    expected = reference.to_result().values;
+  }
+  const std::vector<std::string> lines = journal_lines(path);
+  std::size_t cuts = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (!is_gp_record(lines[i])) continue;
+    ++cuts;
+    write_lines(path, std::vector<std::string>(
+                          lines.begin(), lines.begin() + static_cast<std::ptrdiff_t>(i + 1)));
+    auto resumed = TuningSession::resume(space, opt, path);
+    drive_until(*resumed, opt.max_evals);
+    EXPECT_EQ(resumed->to_result().values, expected) << "cut after journal line " << i;
+  }
+  EXPECT_EQ(cuts, 4u);
+  remove_journal(path);
+}
+
+// One gp record per search the cadence implies; hyperopt_every 0 never
+// searches, so it journals none.
+TEST(TuningSession, JournalHoldsOneGpRecordPerCadenceSearch) {
+  const auto space = two_dim_space();
+  const std::pair<std::size_t, std::vector<std::size_t>> cases[] = {
+      {3, {4, 7, 10, 13}}, {0, {}}};
+  for (const auto& [every, searched_at] : cases) {
+    SessionOptions opt = held_gp_options(/*compact_every=*/0);
+    opt.bo.hyperopt_every = every;
+    const std::string path = temp_path("tunekit_session_gp_cadence.jsonl");
+    remove_journal(path);
+    {
+      TuningSession session(space, opt, path);
+      drive_until(session, opt.max_evals);
+    }
+    EXPECT_EQ(gp_record_ats(path), searched_at) << "hyperopt_every " << every;
+    remove_journal(path);
+  }
+}
+
+// A journal written before gp records existed (or with every gp record
+// lost) resumes cleanly, holds nothing, and searches on its first
+// surrogate ask.
+TEST(TuningSession, JournalWithoutGpRecordSearchesOnFirstSurrogateAsk) {
+  const auto space = two_dim_space();
+  const SessionOptions opt = held_gp_options(/*compact_every=*/0);
+  const std::string path = temp_path("tunekit_session_gp_legacy.jsonl");
+  remove_journal(path);
+  {
+    TuningSession victim(space, opt, path);
+    drive_until(victim, 8);
+  }
+  std::vector<std::string> lines = journal_lines(path);
+  std::erase_if(lines, is_gp_record);
+  write_lines(path, lines);
+
+  auto resumed = TuningSession::resume(space, opt, path);
+  EXPECT_EQ(resumed->completed(), 8u);
+  drive_until(*resumed, 9);
+  // Searched at 8 (nothing held), then on the cadence from there.
+  EXPECT_EQ(gp_record_ats(path), (std::vector<std::size_t>{8}));
+  drive_until(*resumed, opt.max_evals);
+  EXPECT_EQ(gp_record_ats(path), (std::vector<std::size_t>{8, 11}));
+  remove_journal(path);
+}
+
 TEST(SessionBackendNames, RoundTrip) {
   EXPECT_EQ(backend_from_string("bo"), SessionBackend::Bo);
   EXPECT_EQ(backend_from_string("random"), SessionBackend::Random);

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/telemetry.hpp"
+
 namespace tunekit::net {
 namespace {
 
@@ -252,6 +254,121 @@ TEST(SessionManager, ConcurrentAskTellNeverDoubleIssues) {
   EXPECT_DOUBLE_EQ(report.at("completed").as_number(),
                    static_cast<double>(kMaxEvals));
   EXPECT_EQ(issued.size(), kMaxEvals);
+}
+
+// Eviction under concurrency: with journals on, every ask sweeps the LRU
+// order while other threads touch sessions (which rewrites their last-used
+// stamps). Three clients round-robin over more sessions than may stay
+// resident, so sessions are evicted and resumed all the time; none may lose
+// a tell or issue a candidate twice.
+TEST(SessionManager, ConcurrentJournaledEvictionLosesNothing) {
+  constexpr std::size_t kSessions = 6;
+  constexpr std::size_t kMaxEvals = 12;
+  const std::string dir = fresh_dir("tunekit_sm_evict_concurrent");
+  obs::Telemetry telemetry;
+  telemetry.enable(1024);
+  SessionManagerOptions options;
+  options.journal_dir = dir;
+  options.max_resident = 2;
+  options.shards = 2;
+  options.telemetry = &telemetry;
+  SessionManager manager(options);
+  std::vector<std::string> ids;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    ids.push_back("ev" + std::to_string(i));
+    manager.create(inline_space_spec(ids.back(), kMaxEvals));
+  }
+
+  std::mutex issued_mutex;
+  std::set<std::pair<std::string, std::uint64_t>> issued;
+  std::size_t duplicates = 0;
+  std::size_t rejected = 0;
+
+  auto client = [&](std::size_t offset) {
+    for (bool active = true; active;) {
+      active = false;
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        const std::string& id = ids[(s + offset) % kSessions];
+        const json::Value batch = manager.ask(id, 1);
+        if (batch.at("state").as_string() == "active") active = true;
+        for (const auto& cand : batch.at("candidates").as_array()) {
+          {
+            std::lock_guard<std::mutex> lock(issued_mutex);
+            const auto key =
+                std::make_pair(id, static_cast<std::uint64_t>(cand.at("id").as_number()));
+            if (!issued.insert(key).second) ++duplicates;
+          }
+          json::Object tell;
+          tell["id"] = cand.at("id");
+          tell["value"] = json::Value(cand.at("config").at("x").as_number());
+          if (!manager.tell(id, json::Value(std::move(tell))).at("accepted").as_bool()) {
+            std::lock_guard<std::mutex> lock(issued_mutex);
+            ++rejected;
+          }
+        }
+      }
+    }
+  };
+
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < 3; ++t) clients.emplace_back(client, 2 * t);
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(duplicates, 0u) << "a candidate was issued to two clients";
+  EXPECT_EQ(rejected, 0u) << "a tell for an issued candidate was rejected";
+  EXPECT_EQ(issued.size(), kSessions * kMaxEvals);
+  EXPECT_GT(telemetry.metrics().counter("tunekit_sessions_evicted_total").value(), 0u);
+  for (const auto& id : ids) {
+    const json::Value report = manager.report(id);
+    EXPECT_EQ(report.at("state").as_string(), "exhausted") << id;
+    EXPECT_DOUBLE_EQ(report.at("completed").as_number(), static_cast<double>(kMaxEvals))
+        << id;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An evicted Bo session resumes with its held GP hyperparameters, so
+// eviction never changes what it asks: two sessions driven alternately
+// through a manager that may keep only one resident propose exactly what
+// they propose in memory, never evicted.
+TEST(SessionManager, EvictedBoSessionsAskWhatResidentOnesAsk) {
+  const auto drive = [](SessionManager& manager) {
+    std::vector<std::string> asked;
+    for (const char* id : {"bo1", "bo2"}) {
+      json::Value spec = inline_space_spec(id, 16, "bo");
+      spec.as_object()["n_init"] = json::Value(4);
+      manager.create(spec);
+    }
+    for (std::size_t round = 0; round < 16; ++round) {
+      for (const char* id : {"bo1", "bo2"}) {
+        const json::Value batch = manager.ask(id, 1);
+        const auto& cand = batch.at("candidates").as_array().at(0);
+        asked.push_back(cand.dump());
+        const double x = cand.at("config").at("x").as_number();
+        const double y = cand.at("config").at("y").as_number();
+        json::Object tell;
+        tell["id"] = cand.at("id");
+        tell["value"] = json::Value((x - 1.0) * (x - 1.0) + (y - 3.0) * (y - 3.0));
+        manager.tell(id, json::Value(std::move(tell)));
+      }
+    }
+    return asked;
+  };
+
+  SessionManager resident(SessionManagerOptions{});
+  const std::vector<std::string> expected = drive(resident);
+
+  const std::string dir = fresh_dir("tunekit_sm_evict_bo");
+  obs::Telemetry telemetry;
+  telemetry.enable(1024);
+  SessionManagerOptions options;
+  options.journal_dir = dir;
+  options.max_resident = 1;
+  options.telemetry = &telemetry;
+  SessionManager evicting(options);
+  EXPECT_EQ(drive(evicting), expected);
+  EXPECT_GT(telemetry.metrics().counter("tunekit_sessions_evicted_total").value(), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
