@@ -26,6 +26,10 @@ MethodologyOptions synth_options() {
 struct CaseExpectation {
   synth::SynthCase which;
   bool merged;  // Group3+Group4 expected merged?
+  // gtest shows each case's parameter as a byte dump of this struct. Spelled
+  // out and zeroed, the padding keeps stack garbage out of that dump, so the
+  // listed test names are the same from build to build and run to run.
+  char pad[3] = {};
 };
 
 class SynthPlan : public ::testing::TestWithParam<CaseExpectation> {};
