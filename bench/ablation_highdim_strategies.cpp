@@ -11,7 +11,14 @@
 //     quadratic orthogonality analysis (see ablation_observation_cost),
 //   * the methodology's split searches reach the best configurations at the
 //     same total budget.
+//
+// `--rembo-seeds N` instead runs REMBO alone over seeds 500..500+N-1 and
+// prints each seed's F with the mean, its standard error and the median:
+// REMBO's spread across seeds is wide, so compare its versions this way.
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 
 #include "bo/additive_bo.hpp"
@@ -20,6 +27,7 @@
 #include "bo/rembo.hpp"
 #include "common/table.hpp"
 #include "search/random_search.hpp"
+#include "stats/descriptive.hpp"
 #include "synth/synth_app.hpp"
 
 using namespace tunekit;
@@ -68,9 +76,40 @@ double methodology_strategy(synth::SynthApp& app, std::uint64_t seed) {
   return app.function().evaluate(combined);
 }
 
+double rembo_strategy(synth::SynthApp& app, std::uint64_t seed) {
+  auto obj = full_objective(app);
+  bo::RemboOptions opt;
+  opt.max_evals = kBudget;
+  opt.embedding_dims = 5;
+  opt.seed = seed;
+  return bo::Rembo(opt).run(obj, app.space()).best_value;
+}
+
+int rembo_seed_sweep(std::size_t n) {
+  std::vector<double> best;
+  for (std::uint64_t seed = 500; seed < 500 + n; ++seed) {
+    synth::SynthApp app(synth::SynthCase::Case5);
+    best.push_back(rembo_strategy(app, seed));
+    std::cout << "seed " << seed << ": F = " << Table::fmt(best.back(), 1) << "\n";
+  }
+  const double se = stats::stddev(best) / std::sqrt(static_cast<double>(best.size()));
+  std::cout << "REMBO (d=5), " << n << " seeds: mean " << Table::fmt(stats::mean(best), 1)
+            << " (standard error " << Table::fmt(se, 1) << "), median "
+            << Table::fmt(stats::median(best), 1) << "\n";
+  return 0;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[1], "--rembo-seeds") == 0) {
+    const std::size_t n = std::strtoul(argv[2], nullptr, 10);
+    if (n < 2) {
+      std::cerr << "--rembo-seeds needs at least 2 seeds\n";
+      return 2;
+    }
+    return rembo_seed_sweep(n);
+  }
   std::cout << "=== Ablation: high-dimensional BO strategies, synthetic Case 5 ===\n";
   std::cout << "(budget " << kBudget << " evaluations per strategy, " << kRepeats
             << " repeats; objective F, lower is better)\n\n";
@@ -110,14 +149,7 @@ int main() {
       opt.seed = seed;
       dropout.sum += bo::DropoutBo(opt).run(obj, app.space()).best_value;
     }
-    {
-      auto obj = full_objective(app);
-      bo::RemboOptions opt;
-      opt.max_evals = kBudget;
-      opt.embedding_dims = 5;
-      opt.seed = seed;
-      rembo.sum += bo::Rembo(opt).run(obj, app.space()).best_value;
-    }
+    rembo.sum += rembo_strategy(app, seed);
     {
       // Additive BO with the *correct* interdependence-aware decomposition
       // (what an orthogonality analysis would discover at quadratic cost).

@@ -46,8 +46,7 @@ double acquisition_score(AcquisitionKind kind, double mean, double sd, double be
 std::vector<double> maximize_acquisition(
     const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,
     double best_value, const std::vector<double>& incumbent_unit, tunekit::Rng& rng,
-    const AcquisitionMaximizerOptions& options,
-    const std::function<bool(const std::vector<double>&)>& accept) {
+    const AcquisitionMaximizerOptions& options, const UnitFilter& accept) {
   if (!gp.fitted()) throw std::runtime_error("maximize_acquisition: GP not fitted");
   const std::size_t d = gp.dim();
 
@@ -66,7 +65,6 @@ std::vector<double> maximize_acquisition(
                                      static_cast<double>(options.n_candidates));
 
   std::vector<double> candidate(d);
-  std::size_t accepted = 0;
   for (std::size_t c = 0; c < options.n_candidates; ++c) {
     if (c < n_local) {
       for (std::size_t k = 0; k < d; ++k) {
@@ -77,7 +75,6 @@ std::vector<double> maximize_acquisition(
       for (std::size_t k = 0; k < d; ++k) candidate[k] = rng.uniform();
     }
     if (accept && !accept(candidate)) continue;
-    ++accepted;
     const double s = score_at(candidate);
     if (s > best_score) {
       best_score = s;
@@ -108,7 +105,6 @@ std::vector<double> maximize_acquisition(
       best_point = res.x;
     }
   }
-  (void)accepted;
   return best_point;
 }
 

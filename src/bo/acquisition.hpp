@@ -41,14 +41,16 @@ struct AcquisitionMaximizerOptions {
   std::size_t refine_iters = 40;
 };
 
+/// A test on unit-cube points (e.g. constraint feasibility after decoding).
+using UnitFilter = std::function<bool(const std::vector<double>&)>;
+
 /// Maximize the acquisition over the unit cube; `incumbent_unit` may be
-/// empty (no local candidates then). `accept` filters candidates (constraint
-/// feasibility after decoding); refined points failing `accept` fall back to
-/// the best accepted candidate. Returns the chosen unit-cube point.
+/// empty (no local candidates then). `accept` filters candidates; refined
+/// points failing `accept` fall back to the best accepted candidate.
+/// Returns the chosen unit-cube point.
 std::vector<double> maximize_acquisition(
     const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,
     double best_value, const std::vector<double>& incumbent_unit, tunekit::Rng& rng,
-    const AcquisitionMaximizerOptions& options,
-    const std::function<bool(const std::vector<double>&)>& accept);
+    const AcquisitionMaximizerOptions& options, const UnitFilter& accept);
 
 }  // namespace tunekit::bo

@@ -1,118 +1,44 @@
 #include "bo/additive_bo.hpp"
 
-#include <algorithm>
-#include <set>
 #include <stdexcept>
 
+#include "bo/bayes_opt.hpp"
 #include "common/log.hpp"
-#include "common/stopwatch.hpp"
-#include "search/samplers.hpp"
 
 namespace tunekit::bo {
 
-AdditiveBo::AdditiveBo(std::vector<std::vector<std::size_t>> groups,
-                       AdditiveBoOptions options)
-    : groups_(std::move(groups)), options_(options) {
-  if (groups_.empty()) throw std::invalid_argument("AdditiveBo: no groups");
-}
+namespace {
 
-search::SearchResult AdditiveBo::run(search::Objective& objective,
-                                     const search::SearchSpace& space) const {
-  Stopwatch watch;
-  tunekit::Rng rng(options_.seed);
-  const std::size_t dims = space.size();
+/// The additive GP over the active decomposition, proposing group by group.
+class AdditiveSurrogate final : public Surrogate {
+ public:
+  AdditiveSurrogate(std::vector<std::vector<std::size_t>> groups,
+                    const AdditiveBoOptions& options)
+      : options_(options), gp_(std::move(groups), options.kernel) {}
 
-  // Groups must cover a subset of the space; uncovered coordinates keep the
-  // incumbent's values (they are not modeled).
-  std::set<std::size_t> covered;
-  for (const auto& g : groups_) {
-    for (std::size_t idx : g) {
-      if (idx >= dims) throw std::invalid_argument("AdditiveBo: group index out of range");
-      covered.insert(idx);
+  void fit(linalg::Matrix x, std::vector<double> y, bool search, tunekit::Rng& rng) override {
+    if (options_.regroup_hook) regroup(x, y);
+    if (search) {
+      gp_.fit_with_hyperopt(std::move(x), std::move(y), rng, options_.hyperopt_restarts,
+                            options_.hyperopt_max_iters);
+    } else {
+      gp_.fit(std::move(x), std::move(y));
     }
   }
 
-  // The active decomposition; the regroup hook may re-cut it mid-run.
-  std::vector<std::vector<std::size_t>> groups = groups_;
-  bool regrouped = false;
-
-  search::SearchResult result;
-  result.method = "additive-bo";
-
-  std::vector<std::vector<double>> units;
-  std::vector<double> values;
-
-  auto evaluate = [&](const search::Config& config) {
-    const double v = objective.evaluate(config);
-    units.push_back(space.encode_unit(config));
-    values.push_back(v);
-    if (v < result.best_value) {
-      result.best_value = v;
-      result.best_config = config;
-    }
-    result.values.push_back(v);
-    result.trajectory.push_back(result.best_value);
-
-    if (options_.regroup_hook) {
-      auto revised = options_.regroup_hook(units, values);
-      if (revised && !revised->empty() && *revised != groups) {
-        bool valid = true;
-        for (const auto& g : *revised) {
-          for (std::size_t idx : g) valid = valid && idx < dims;
-        }
-        if (valid) {
-          log_info("additive-bo: adopting revised decomposition (",
-                   revised->size(), " groups, ", values.size(), " evals kept)");
-          groups = std::move(*revised);
-          regrouped = true;
-        }
-      }
-    }
-  };
-
-  for (const auto& config : search::sample_valid_configs(
-           space, std::min(options_.n_init, options_.max_evals), rng)) {
-    evaluate(config);
-  }
-
-  AdditiveGp gp(groups, options_.kernel);
-  std::size_t iteration = 0;
-  while (values.size() < options_.max_evals) {
-    if (regrouped) {
-      // Migrate, don't discard: the archive is full-dimensional, so a
-      // re-cut only means refitting the additive GP over the new groups.
-      gp = AdditiveGp(groups, options_.kernel);
-      regrouped = false;
-    }
-    linalg::Matrix x(units.size(), dims);
-    for (std::size_t r = 0; r < units.size(); ++r) {
-      for (std::size_t k = 0; k < dims; ++k) x(r, k) = units[r][k];
-    }
-
-    try {
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.fit_with_hyperopt(std::move(x), values, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), values);
-      }
-    } catch (const std::exception& e) {
-      log_warn("additive-bo: surrogate failed (", e.what(), "); random step");
-      evaluate(space.sample_valid(rng));
-      ++iteration;
-      continue;
-    }
-
-    // Group-wise acquisition maximization: each group's component is
-    // optimized independently over candidate values of its coordinates.
-    std::vector<double> proposal_unit = space.encode_unit(result.best_config);
+  /// Each group's component is optimized independently over candidate
+  /// values of its coordinates; uncovered coordinates keep the incumbent's.
+  std::vector<double> propose(double, const std::vector<double>& best_unit, tunekit::Rng& rng,
+                              const UnitFilter&) override {
+    std::vector<double> proposal = best_unit;
+    const auto& groups = gp_.groups();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       std::vector<double> best_coords;
       double best_score = -std::numeric_limits<double>::infinity();
-      std::vector<double> candidate = proposal_unit;
+      std::vector<double> candidate = proposal;
       for (std::size_t c = 0; c < options_.group_candidates; ++c) {
         for (std::size_t idx : groups[g]) candidate[idx] = rng.uniform();
-        const auto pred = gp.predict_group(g, candidate);
+        const auto pred = gp_.predict_group(g, candidate);
         // Per-group LCB: group contribution mean minus exploration bonus.
         const double score = acquisition_score(AcquisitionKind::LowerConfidenceBound,
                                                pred.mean, pred.stddev(), 0.0,
@@ -124,33 +50,54 @@ search::SearchResult AdditiveBo::run(search::Objective& objective,
         }
       }
       std::size_t k = 0;
-      for (std::size_t idx : groups[g]) proposal_unit[idx] = best_coords[k++];
+      for (std::size_t idx : groups[g]) proposal[idx] = best_coords[k++];
     }
-
-    search::Config proposal = space.decode_unit(proposal_unit);
-    if (!space.is_valid(proposal)) {
-      if (space.has_repair()) proposal = space.repair(std::move(proposal));
-      if (!space.is_valid(proposal)) proposal = space.sample_valid(rng);
-    }
-    // Duplicate guard for discrete spaces.
-    const auto is_dup = [&](const std::vector<double>& u) {
-      for (const auto& seen : units) {
-        bool same = true;
-        for (std::size_t k = 0; k < dims && same; ++k) {
-          same = std::abs(seen[k] - u[k]) < 1e-12;
-        }
-        if (same) return true;
-      }
-      return false;
-    };
-    if (is_dup(space.encode_unit(proposal))) proposal = space.sample_valid(rng);
-
-    evaluate(proposal);
-    ++iteration;
+    return proposal;
   }
 
-  result.evaluations = values.size();
-  result.seconds = watch.seconds();
+ private:
+  /// Migrate, don't discard: the archive is full-dimensional, so adopting
+  /// the hook's decomposition only means refitting over the new groups.
+  void regroup(const linalg::Matrix& x, const std::vector<double>& y) {
+    std::vector<std::vector<double>> units(x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) units[r] = x.row(r);
+    auto revised = options_.regroup_hook(units, y);
+    if (!revised || revised->empty() || *revised == gp_.groups()) return;
+    for (const auto& g : *revised) {
+      for (std::size_t idx : g) {
+        if (idx >= x.cols()) return;
+      }
+    }
+    log_info("additive-bo: adopting revised decomposition (", revised->size(), " groups, ",
+             y.size(), " evals kept)");
+    gp_ = AdditiveGp(std::move(*revised), options_.kernel);
+  }
+
+  const AdditiveBoOptions& options_;
+  AdditiveGp gp_;
+};
+
+}  // namespace
+
+AdditiveBo::AdditiveBo(std::vector<std::vector<std::size_t>> groups,
+                       AdditiveBoOptions options)
+    : groups_(std::move(groups)), options_(std::move(options)) {
+  if (groups_.empty()) throw std::invalid_argument("AdditiveBo: no groups");
+}
+
+search::SearchResult AdditiveBo::run(search::Objective& objective,
+                                     const search::SearchSpace& space) const {
+  for (const auto& g : groups_) {
+    for (std::size_t idx : g) {
+      if (idx >= space.size()) {
+        throw std::invalid_argument("AdditiveBo: group index out of range");
+      }
+    }
+  }
+  AdditiveSurrogate surrogate(groups_, options_);
+  search::EvalDb db;
+  auto result = BayesOpt(loop_options(options_)).run(objective, space, db, surrogate);
+  result.method = "additive-bo";
   return result;
 }
 

@@ -5,6 +5,10 @@
 // decomposition). The paper inverts this idea — instead of decomposing a
 // joint search into additive pieces after an expensive analysis, it merges
 // cheap searches that show interdependence.
+//
+// The additive GP and the group-wise LCB are a Surrogate of BayesOpt::run,
+// which owns the loop: failures are recorded as NaN and left out of the
+// model, and duplicates and invalid proposals are handled there.
 
 #include <functional>
 #include <optional>
@@ -16,13 +20,14 @@
 
 namespace tunekit::bo {
 
-/// Called after every evaluation with the full observation archive
-/// (unit-cube rows) and objective values. Returning a non-empty group set
-/// makes the search adopt that decomposition on the next iteration: the
-/// additive GP is rebuilt over the new groups and refit from the complete
-/// archive, so no observation is discarded on a re-cut. This is how the
-/// online structure learner (structure::OnlineLearner) re-partitions a
-/// running additive search.
+/// Called before each fit with the usable archive: the unit-cube rows and
+/// objective values of every evaluation that did not fail, in evaluation
+/// order. Returning a non-empty group set makes the search adopt that
+/// decomposition for this fit: the additive GP is rebuilt over the new
+/// groups and refit from the complete archive, so no observation is
+/// discarded on a re-cut. This is how the online structure learner
+/// (structure::OnlineLearner) re-partitions a running additive search; a
+/// hook that feeds a learner should feed it only the rows it has not seen.
 using RegroupHook = std::function<std::optional<std::vector<std::vector<std::size_t>>>(
     const std::vector<std::vector<double>>& units, const std::vector<double>& values)>;
 
@@ -31,7 +36,6 @@ struct AdditiveBoOptions {
   std::size_t n_init = 5;
 
   KernelKind kernel = KernelKind::Matern52;
-  AcquisitionKind acquisition = AcquisitionKind::LowerConfidenceBound;
   /// Per-group LCB exploration weight; 1.0 works best on additive
   /// objectives (each component is low-dimensional, so less exploration is
   /// needed than in a joint search).

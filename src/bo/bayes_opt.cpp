@@ -30,7 +30,138 @@ bool already_evaluated(const std::vector<search::Evaluation>& evals,
   });
 }
 
+void observe_seconds(const BoOptions& options, const char* histogram, double seconds) {
+  obs::Telemetry* telemetry = options.telemetry;
+  if (telemetry == nullptr || !telemetry->enabled()) return;
+  telemetry->metrics().histogram(histogram, obs::default_time_buckets()).observe(seconds);
+}
+
+/// What the surrogate is fitted to, in unit coordinates, and its incumbent.
+struct TrainingSet {
+  std::vector<std::vector<double>> units;
+  std::vector<double> values;
+  double best_value = std::numeric_limits<double>::infinity();
+  std::vector<double> best_unit;
+};
+
+TrainingSet training_set(const std::vector<search::Evaluation>& evals,
+                         const search::SearchSpace& space, const BoOptions& options) {
+  TrainingSet t;
+  for (const auto& e : evals) {
+    double value = e.value;
+    // Any non-finite observation (NaN crash sentinel or an overflowed +inf
+    // timing) is a failure: penalize or exclude, never feed it to the model.
+    if (!std::isfinite(value)) {
+      if (!std::isfinite(options.failure_penalty)) continue;
+      value = options.failure_penalty;
+    }
+    value = std::min(value, options.timeout_value);
+    t.units.push_back(space.encode_unit(e.config));
+    t.values.push_back(value);
+    if (value < t.best_value) {
+      t.best_value = value;
+      t.best_unit = t.units.back();
+    }
+  }
+  return t;
+}
+
+/// Fit `surrogate` to `t`; false when the fit throws (the caller then falls
+/// back to a random valid configuration).
+bool fit_surrogate(Surrogate& surrogate, const TrainingSet& t, std::size_t dims, bool search,
+                   tunekit::Rng& rng, const BoOptions& options) {
+  linalg::Matrix x(t.units.size(), dims);
+  for (std::size_t i = 0; i < t.units.size(); ++i) {
+    for (std::size_t k = 0; k < dims; ++k) x(i, k) = t.units[i][k];
+  }
+  try {
+    Stopwatch fit_watch;
+    surrogate.fit(std::move(x), t.values, search, rng);
+    observe_seconds(options, obs::metric::kGpFitSeconds, fit_watch.seconds());
+    return true;
+  } catch (const std::exception& e) {
+    // A surrogate breakdown (e.g. all-identical targets) must not end the
+    // search.
+    log_warn("bo: surrogate fit failed (", e.what(), "); random fallback");
+    return false;
+  }
+}
+
+/// The surrogate's proposal, made valid (repaired, else a random valid
+/// configuration) and distinct from `seen`: a duplicate, common in small
+/// discrete spaces, is proposed again up to duplicate_retries times and
+/// then replaced by a random valid configuration.
+search::Config distinct_proposal(Surrogate& surrogate, const TrainingSet& t,
+                                 const search::SearchSpace& space,
+                                 const std::vector<search::Evaluation>& seen,
+                                 tunekit::Rng& rng, const BoOptions& options) {
+  Stopwatch acq_watch;
+  const UnitFilter accept = [&](const std::vector<double>& u) {
+    return space.is_valid(space.decode_unit(u));
+  };
+  auto propose = [&] {
+    search::Config c =
+        space.decode_unit(surrogate.propose(t.best_value, t.best_unit, rng, accept));
+    if (space.is_valid(c)) return c;
+    if (space.has_repair()) {
+      c = space.repair(std::move(c));
+      if (space.is_valid(c)) return c;
+    }
+    return space.sample_valid(rng);
+  };
+  search::Config proposal = propose();
+  for (std::size_t r = 0; r < options.duplicate_retries && already_evaluated(seen, proposal);
+       ++r) {
+    proposal = propose();
+  }
+  if (already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
+  // Proposal-selection time including duplicate retries: each retry is a
+  // full argmax, and their cost is what this histogram exists to expose.
+  observe_seconds(options, obs::metric::kAcqArgmaxSeconds, acq_watch.seconds());
+  return proposal;
+}
+
 }  // namespace
+
+std::vector<search::Config> initial_design(const search::SearchSpace& space,
+                                           InitialDesign design, std::size_t n,
+                                           std::uint64_t seed, tunekit::Rng& rng) {
+  switch (design) {
+    case InitialDesign::Sobol:
+      return search::SobolSequence::sample(space, n, seed | 1);
+    case InitialDesign::UniformRandom:
+      return search::sample_valid_configs(space, n, rng, /*latin_hypercube=*/false);
+    case InitialDesign::LatinHypercube:
+      break;
+  }
+  return search::sample_valid_configs(space, n, rng, /*latin_hypercube=*/true);
+}
+
+GpSurrogate::GpSurrogate(const BoOptions& options, bool isotropic_search)
+    : options_(options), gp_(options.kernel), isotropic_search_(isotropic_search) {
+  if (options_.transfer) {
+    const TransferPrior& prior = *options_.transfer;
+    gp_.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
+  }
+}
+
+void GpSurrogate::fit(linalg::Matrix x, std::vector<double> y, bool search,
+                      tunekit::Rng& rng) {
+  if (!search) {
+    gp_.fit(std::move(x), std::move(y));
+    return;
+  }
+  if (isotropic_search_) gp_.set_hyperparams(GpHyperparams::isotropic(x.cols()));
+  gp_.fit_with_hyperopt(std::move(x), std::move(y), rng, options_.hyperopt_restarts,
+                        options_.hyperopt_max_iters);
+}
+
+std::vector<double> GpSurrogate::propose(double best_value,
+                                         const std::vector<double>& best_unit,
+                                         tunekit::Rng& rng, const UnitFilter& accept) {
+  return maximize_acquisition(gp_, options_.acquisition, options_.acq_params, best_value,
+                              best_unit, rng, options_.maximizer, accept);
+}
 
 search::SearchResult BayesOpt::run(search::Objective& objective,
                                    const search::SearchSpace& space) const {
@@ -41,6 +172,13 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
 search::SearchResult BayesOpt::run(search::Objective& objective,
                                    const search::SearchSpace& space,
                                    search::EvalDb& db) const {
+  GpSurrogate surrogate(options_);
+  return run(objective, space, db, surrogate);
+}
+
+search::SearchResult BayesOpt::run(search::Objective& objective,
+                                   const search::SearchSpace& space, search::EvalDb& db,
+                                   Surrogate& surrogate) const {
   Stopwatch watch;
   tunekit::Rng rng(options_.seed);
   obs::Telemetry* telemetry = options_.telemetry;
@@ -80,19 +218,14 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
     }
     const double seconds = eval_watch.seconds();
     eval_span.end();
-    if (traced) {
-      obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
-      telemetry->metrics()
-          .histogram(obs::metric::kEvalSeconds, obs::default_time_buckets())
-          .observe(seconds);
-    }
+    if (traced) obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
+    observe_seconds(options_, obs::metric::kEvalSeconds, seconds);
     if (robust::is_failure(outcome)) value = std::numeric_limits<double>::quiet_NaN();
     db.record(config, value, seconds, outcome);
     if (!options_.checkpoint_path.empty() && options_.checkpoint_every > 0 &&
         db.size() % options_.checkpoint_every == 0) {
       db.save(options_.checkpoint_path);
     }
-    return value;
   };
 
   // Warm start: source-task winners first (transfer learning).
@@ -106,148 +239,33 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
     evaluate_and_record(config);
   }
 
-  // Initial design.
   if (db.size() < options_.n_init) {
-    const std::size_t missing = options_.n_init - db.size();
-    std::vector<search::Config> init;
-    switch (options_.init_design) {
-      case InitialDesign::LatinHypercube:
-        init = search::sample_valid_configs(space, missing, rng, /*latin_hypercube=*/true);
-        break;
-      case InitialDesign::Sobol:
-        init = search::SobolSequence::sample(space, missing, options_.seed | 1);
-        break;
-      case InitialDesign::UniformRandom:
-        init = search::sample_valid_configs(space, missing, rng, /*latin_hypercube=*/false);
-        break;
-    }
-    for (const auto& config : init) {
+    for (const auto& config : initial_design(space, options_.init_design,
+                                             options_.n_init - db.size(), options_.seed,
+                                             rng)) {
       if (db.size() >= options_.max_evals) break;
       evaluate_and_record(config);
     }
   }
 
-  GaussianProcess gp(options_.kernel);
-  if (options_.transfer) {
-    const TransferPrior& prior = *options_.transfer;
-    gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
-  }
-
-  auto accept_unit = [&](const std::vector<double>& u) {
-    return space.is_valid(space.decode_unit(u));
-  };
-
-  std::size_t iteration = 0;
-  while (db.size() < options_.max_evals) {
+  for (std::size_t iteration = 0; db.size() < options_.max_evals; ++iteration) {
     obs::ScopedSpan iter_span(telemetry, "bo.iteration");
-    // Assemble training data in unit coordinates; clamp timeouts and handle
-    // failed evaluations per failure_penalty.
     const auto evals = db.all();
-    std::vector<std::vector<double>> unit_points;
-    std::vector<double> targets;
-    double best_value = std::numeric_limits<double>::infinity();
-    std::vector<double> best_unit;
-    for (const auto& e : evals) {
-      double value = e.value;
-      // Any non-finite observation (NaN crash sentinel or an overflowed +inf
-      // timing) is a failure: penalize or exclude, never feed it to the GP.
-      if (!std::isfinite(value)) {
-        if (std::isnan(options_.failure_penalty)) continue;  // exclude failures
-        value = options_.failure_penalty;
-      }
-      value = std::min(value, options_.timeout_value);
-      auto unit = space.encode_unit(e.config);
-      if (value < best_value) {
-        best_value = value;
-        best_unit = unit;
-      }
-      unit_points.push_back(std::move(unit));
-      targets.push_back(value);
-    }
-    if (unit_points.empty()) {
-      // Everything failed so far: explore at random.
-      evaluate_and_record(space.sample_valid(rng));
-      ++iteration;
-      continue;
-    }
-    linalg::Matrix x(unit_points.size(), space.size());
-    std::vector<double> y = std::move(targets);
-    for (std::size_t i = 0; i < unit_points.size(); ++i) {
-      for (std::size_t k = 0; k < space.size(); ++k) x(i, k) = unit_points[i][k];
-    }
-
-    try {
-      Stopwatch fit_watch;
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.fit_with_hyperopt(std::move(x), std::move(y), rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), std::move(y));
-      }
-      if (traced) {
-        telemetry->metrics()
-            .histogram(obs::metric::kGpFitSeconds, obs::default_time_buckets())
-            .observe(fit_watch.seconds());
-      }
-    } catch (const std::exception& e) {
-      // Surrogate breakdown (e.g. all-identical targets): fall back to a
-      // random valid evaluation and keep going — robustness over elegance.
-      log_warn("bo: surrogate fit failed (", e.what(), "); random fallback");
-      evaluate_and_record(space.sample_valid(rng));
-      ++iteration;
-      continue;
-    }
-
-    Stopwatch acq_watch;
-    std::vector<double> proposal_unit = maximize_acquisition(
-        gp, options_.acquisition, options_.acq_params, best_value, best_unit, rng,
-        options_.maximizer, accept_unit);
-    search::Config proposal = space.decode_unit(proposal_unit);
-
-    // Duplicate handling for small/discrete spaces.
-    std::size_t retries = 0;
-    while (already_evaluated(evals, proposal) && retries < options_.duplicate_retries) {
-      proposal_unit = maximize_acquisition(gp, options_.acquisition, options_.acq_params,
-                                           best_value, best_unit, rng, options_.maximizer,
-                                           accept_unit);
-      proposal = space.decode_unit(proposal_unit);
-      ++retries;
-    }
-    if (already_evaluated(evals, proposal)) {
-      proposal = space.sample_valid(rng);
-    }
-    // Proposal-selection time including duplicate retries: each retry is a
-    // full argmax, and their cost is what this histogram exists to expose.
-    if (traced) {
-      telemetry->metrics()
-          .histogram(obs::metric::kAcqArgmaxSeconds, obs::default_time_buckets())
-          .observe(acq_watch.seconds());
-    }
-
-    evaluate_and_record(proposal);
-    ++iteration;
+    const TrainingSet t = training_set(evals, space, options_);
+    const bool search =
+        options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0;
+    // Nothing usable yet (everything failed), or the fit broke down:
+    // explore at random.
+    evaluate_and_record(
+        !t.units.empty() && fit_surrogate(surrogate, t, space.size(), search, rng, options_)
+            ? distinct_proposal(surrogate, t, space, evals, rng, options_)
+            : space.sample_valid(rng));
   }
 
   if (!options_.checkpoint_path.empty()) {
     db.save(options_.checkpoint_path);
   }
-
-  // Package the result.
-  search::SearchResult result;
-  result.method = "bo";
-  const auto evals = db.all();
-  result.values.reserve(evals.size());
-  for (const auto& e : evals) {
-    result.values.push_back(e.value);
-    if (std::isfinite(e.value) && e.value < result.best_value) {
-      result.best_value = e.value;
-      result.best_config = e.config;
-    }
-    result.trajectory.push_back(result.best_value);
-  }
-  result.evaluations = evals.size();
-  result.seconds = watch.seconds();
-  return result;
+  return search::make_result("bo", db.all(), watch.seconds());
 }
 
 std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
@@ -264,97 +282,35 @@ BayesOpt::Batch BayesOpt::suggest_batch(const search::EvalDb& db,
   if (evals.empty()) {
     throw std::invalid_argument("BayesOpt::suggest_batch: empty evaluation database");
   }
+  // Observed data plus the growing liar set.
+  TrainingSet t = training_set(evals, space, options_);
+  if (t.units.empty()) {
+    throw std::invalid_argument("BayesOpt::suggest_batch: no usable evaluations");
+  }
   // Separate streams: the search's random restarts draw from one, the
   // acquisition (multistarts, duplicate and failure fallbacks) from the
   // other, so searching never shifts what the acquisition draws.
   tunekit::Rng hyperopt_rng(options_.seed ^ 0xba7c4);
   tunekit::Rng rng(options_.seed ^ 0xac9f1);
-  obs::Telemetry* telemetry = options_.telemetry;
-  const bool traced = telemetry != nullptr && telemetry->enabled();
 
-  // Observed data plus the growing liar set.
-  std::vector<std::vector<double>> unit_points;
-  std::vector<double> y;
-  double best_value = std::numeric_limits<double>::infinity();
-  std::vector<double> best_unit;
-  for (const auto& e : evals) {
-    if (!std::isfinite(e.value)) continue;  // failed evaluations carry no target
-    unit_points.push_back(space.encode_unit(e.config));
-    const double v = std::min(e.value, options_.timeout_value);
-    y.push_back(v);
-    if (v < best_value) {
-      best_value = v;
-      best_unit = unit_points.back();
-    }
-  }
-  if (unit_points.empty()) {
-    throw std::invalid_argument("BayesOpt::suggest_batch: no successful evaluations");
-  }
-
-  auto accept_unit = [&](const std::vector<double>& u) {
-    return space.is_valid(space.decode_unit(u));
-  };
-
-  GaussianProcess gp(options_.kernel);
-  if (options_.transfer) {
-    const TransferPrior& prior = *options_.transfer;
-    gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
-  }
-  if (held) gp.set_hyperparams(*held);
+  GpSurrogate surrogate(options_);
+  if (held) surrogate.gp().set_hyperparams(*held);
 
   Batch out;
-  std::vector<search::Evaluation> seen;
-  for (const auto& e : evals) seen.push_back(e);
-
+  std::vector<search::Evaluation> seen = evals;
   for (std::size_t b = 0; b < k; ++b) {
-    linalg::Matrix x(unit_points.size(), space.size());
-    for (std::size_t i = 0; i < unit_points.size(); ++i) {
-      for (std::size_t c = 0; c < space.size(); ++c) x(i, c) = unit_points[i][c];
-    }
-    try {
-      Stopwatch fit_watch;
-      if (b == 0 && search) {
-        gp.fit_with_hyperopt(std::move(x), y, hyperopt_rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-        out.searched = gp.hyperparams();
-      } else {
-        gp.fit(std::move(x), y);
-      }
-      if (traced) {
-        telemetry->metrics()
-            .histogram(obs::metric::kGpFitSeconds, obs::default_time_buckets())
-            .observe(fit_watch.seconds());
-      }
-    } catch (const std::exception& e) {
-      log_warn("bo: suggest_batch surrogate failed (", e.what(), "); random fill");
+    const bool searching = b == 0 && search;
+    if (!fit_surrogate(surrogate, t, space.size(), searching, hyperopt_rng, options_)) {
       out.configs.push_back(space.sample_valid(rng));
       continue;
     }
-
-    Stopwatch acq_watch;
-    auto proposal_unit =
-        maximize_acquisition(gp, options_.acquisition, options_.acq_params, best_value,
-                             best_unit, rng, options_.maximizer, accept_unit);
-    search::Config proposal = space.decode_unit(proposal_unit);
-    std::size_t retries = 0;
-    while (already_evaluated(seen, proposal) && retries < options_.duplicate_retries) {
-      proposal_unit =
-          maximize_acquisition(gp, options_.acquisition, options_.acq_params, best_value,
-                               best_unit, rng, options_.maximizer, accept_unit);
-      proposal = space.decode_unit(proposal_unit);
-      ++retries;
-    }
-    if (already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
-    if (traced) {
-      telemetry->metrics()
-          .histogram(obs::metric::kAcqArgmaxSeconds, obs::default_time_buckets())
-          .observe(acq_watch.seconds());
-    }
+    if (searching) out.searched = surrogate.gp().hyperparams();
+    search::Config proposal = distinct_proposal(surrogate, t, space, seen, rng, options_);
 
     // Constant liar: pretend the proposal observed the incumbent best.
-    unit_points.push_back(space.encode_unit(proposal));
-    y.push_back(best_value);
-    seen.push_back({proposal, best_value, 0.0});
+    t.units.push_back(space.encode_unit(proposal));
+    t.values.push_back(t.best_value);
+    seen.push_back({proposal, t.best_value, 0.0});
     out.configs.push_back(std::move(proposal));
   }
   return out;

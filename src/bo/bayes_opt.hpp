@@ -1,10 +1,21 @@
 #pragma once
-// The Bayesian-optimization search driver (the GPTune stand-in).
+// The Bayesian-optimization search driver (the GPTune stand-in), and the
+// one BO loop every strategy in this directory runs.
 //
-// Loop: LHS initial design (5 random configurations, as the paper uses) ->
-// fit GP (periodic hyperparameter optimization) -> maximize acquisition
-// under the space's validity constraints -> evaluate -> repeat until the
-// evaluation budget (the paper's criterion: 10 x num_parameters) is spent.
+// Loop: warm start, then an LHS initial design (5 random configurations, as
+// the paper uses) -> fit the surrogate (periodic hyperparameter search) ->
+// propose under the space's validity constraints -> evaluate -> repeat
+// until the evaluation budget (the paper's criterion: 10 x num_parameters)
+// is spent.
+//
+// The Surrogate seam splits a strategy from the loop. A strategy supplies
+// only its model (fit) and its proposal step (propose). The loop owns
+// everything else, once: evaluation with the failure taxonomy, warm start
+// and initial design, the hyperparameter-search cadence, the random
+// fallback when a fit throws, repair and duplicate handling, telemetry,
+// and the result. BayesOpt's own surrogate is GpSurrogate: one GP over all
+// coordinates, maximized by maximize_acquisition. AdditiveBo and DropoutBo
+// plug in their own surrogates; Rembo runs this loop over its embedded box.
 //
 // Features carried over from GPTune because the paper depends on them:
 //  * hard search-space constraints (candidates are filtered for validity),
@@ -27,6 +38,12 @@ class Telemetry;
 namespace tunekit::bo {
 
 enum class InitialDesign { LatinHypercube, Sobol, UniformRandom };
+
+/// `n` initial configurations: LHS or uniform draws from `rng`, or the
+/// Sobol' sequence scrambled by `seed`.
+std::vector<search::Config> initial_design(const search::SearchSpace& space,
+                                           InitialDesign design, std::size_t n,
+                                           std::uint64_t seed, tunekit::Rng& rng);
 
 struct BoOptions {
   /// Total evaluation budget (including the initial design).
@@ -91,6 +108,60 @@ struct BoOptions {
   obs::Telemetry* telemetry = nullptr;
 };
 
+/// The loop settings a strategy's options share with BoOptions: budget,
+/// initial design size, kernel, hyperparameter-search cadence and seed.
+template <typename StrategyOptions>
+BoOptions loop_options(const StrategyOptions& o) {
+  BoOptions b;
+  b.max_evals = o.max_evals;
+  b.n_init = o.n_init;
+  b.kernel = o.kernel;
+  b.hyperopt_every = o.hyperopt_every;
+  b.hyperopt_restarts = o.hyperopt_restarts;
+  b.hyperopt_max_iters = o.hyperopt_max_iters;
+  b.seed = o.seed;
+  return b;
+}
+
+/// One BO strategy's model and proposal step; BayesOpt::run is the loop.
+class Surrogate {
+ public:
+  virtual ~Surrogate() = default;
+
+  /// Fit unit-cube rows `x` to targets `y`, with failures already left out
+  /// or penalized. `search` asks for a hyperparameter search this time.
+  /// A throw makes the loop evaluate a random valid configuration instead.
+  virtual void fit(linalg::Matrix x, std::vector<double> y, bool search,
+                   tunekit::Rng& rng) = 0;
+
+  /// The next unit-cube point, given the incumbent (the best fitted
+  /// target and its row). `accept` is the space's validity test on unit
+  /// points; the loop repairs or replaces a proposal that fails it.
+  virtual std::vector<double> propose(double best_value, const std::vector<double>& best_unit,
+                                      tunekit::Rng& rng, const UnitFilter& accept) = 0;
+};
+
+/// BayesOpt's surrogate: one GP over every coordinate, with the transfer
+/// prior as its mean, proposing through maximize_acquisition. Reads
+/// `options`, which must outlive it.
+class GpSurrogate final : public Surrogate {
+ public:
+  /// `isotropic_search`: start every hyperparameter search from the
+  /// isotropic defaults rather than from the last fit's values.
+  explicit GpSurrogate(const BoOptions& options, bool isotropic_search = false);
+
+  void fit(linalg::Matrix x, std::vector<double> y, bool search, tunekit::Rng& rng) override;
+  std::vector<double> propose(double best_value, const std::vector<double>& best_unit,
+                              tunekit::Rng& rng, const UnitFilter& accept) override;
+
+  GaussianProcess& gp() { return gp_; }
+
+ private:
+  const BoOptions& options_;
+  GaussianProcess gp_;
+  bool isotropic_search_;
+};
+
 class BayesOpt {
  public:
   explicit BayesOpt(BoOptions options = {}) : options_(std::move(options)) {}
@@ -107,11 +178,17 @@ class BayesOpt {
   search::SearchResult run(search::Objective& objective, const search::SearchSpace& space,
                            search::EvalDb& db) const;
 
+  /// The loop with another strategy's surrogate in place of GpSurrogate.
+  search::SearchResult run(search::Objective& objective, const search::SearchSpace& space,
+                           search::EvalDb& db, Surrogate& surrogate) const;
+
   /// Suggest `k` configurations to evaluate in parallel, without evaluating
   /// anything (constant-liar batching): each accepted suggestion is added to
   /// the surrogate as a pseudo-observation at the incumbent best value, so
   /// later suggestions explore elsewhere. The GP's hyperparameters are
-  /// searched from the isotropic defaults. Requires a non-empty database.
+  /// searched from the isotropic defaults. Failed evaluations are left out
+  /// or enter at failure_penalty, as in run(). Requires a database with at
+  /// least one usable evaluation.
   std::vector<search::Config> suggest_batch(const search::EvalDb& db,
                                             const search::SearchSpace& space,
                                             std::size_t k) const;

@@ -2,9 +2,15 @@
 // Dropout Bayesian optimization (Li et al., IJCAI'17) — one of the three
 // high-dimensional BO strategies the paper's related work surveys: each
 // iteration models and optimizes only `d` randomly chosen dimensions out of
-// D, filling the rest with random values. Convergence is typically slower
-// than a well-partitioned search (the paper's point), which
-// bench/ablation_highdim_strategies measures.
+// D, filling the rest from the incumbent or with random values. Convergence
+// is typically slower than a well-partitioned search (the paper's point),
+// which bench/ablation_highdim_strategies measures.
+//
+// The dropout GP is a Surrogate of BayesOpt::run, which owns the loop. Each
+// fit draws the iteration's active subspace and, when it searches the
+// hyperparameters, starts from the isotropic defaults; each proposal
+// maximizes the acquisition over that subspace and fills the dropped
+// coordinates. Failures are recorded as NaN and left out of the model.
 
 #include "bo/acquisition.hpp"
 #include "search/eval_db.hpp"

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hpp"
-#include "common/stopwatch.hpp"
+#include "bo/bayes_opt.hpp"
 
 namespace tunekit::bo {
 
@@ -19,112 +18,42 @@ std::vector<double> Rembo::project(const linalg::Matrix& embedding,
 
 search::SearchResult Rembo::run(search::Objective& objective,
                                 const search::SearchSpace& space) const {
-  Stopwatch watch;
-  tunekit::Rng rng(options_.seed);
-  const std::size_t total_dims = space.size();
-  const std::size_t d = std::min(options_.embedding_dims, total_dims);
+  const std::size_t d = std::min(options_.embedding_dims, space.size());
   const double box = std::sqrt(static_cast<double>(d));
 
-  // Gaussian random embedding, scaled so typical |A y| spans the cube.
-  linalg::Matrix embedding(total_dims, d);
-  for (std::size_t i = 0; i < total_dims; ++i) {
-    for (std::size_t k = 0; k < d; ++k) {
-      embedding(i, k) = rng.normal() / (2.0 * box);
-    }
+  // Gaussian random embedding, scaled so typical |A y| spans the cube. It
+  // draws from its own stream; the search draws from options_.seed.
+  tunekit::Rng embedding_rng(options_.seed ^ 0x3e4b0);
+  linalg::Matrix embedding(space.size(), d);
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    for (std::size_t k = 0; k < d; ++k) embedding(i, k) = embedding_rng.normal() / (2.0 * box);
   }
+  const auto to_full = [&](const search::Config& y) {
+    search::Config config = space.decode_unit(project(embedding, y));
+    if (!space.is_valid(config) && space.has_repair()) config = space.repair(std::move(config));
+    return config;
+  };
 
-  search::SearchResult result;
+  search::SearchSpace embedded;
+  for (std::size_t k = 0; k < d; ++k) {
+    embedded.add(search::ParamSpec::real("y" + std::to_string(k), -box, box, 0.0));
+  }
+  embedded.add_constraint("feasible-projection", [&](const search::Config& y) {
+    return space.is_valid(to_full(y));
+  });
+  search::FunctionObjective lifted(
+      [&](const search::Config& y) { return objective.evaluate(to_full(y)); },
+      objective.thread_safe());
+
+  BoOptions bo = loop_options(options_);
+  bo.acquisition = options_.acquisition;
+  bo.acq_params = options_.acq_params;
+  bo.maximizer = options_.maximizer;
+  GpSurrogate surrogate(bo, /*isotropic_search=*/true);
+  search::EvalDb db;
+  auto result = BayesOpt(bo).run(lifted, embedded, db, surrogate);
   result.method = "rembo";
-
-  linalg::Matrix ys(0, 0);
-  std::vector<std::vector<double>> y_points;
-  std::vector<double> values;
-
-  auto evaluate_y = [&](const std::vector<double>& y) {
-    const auto unit = project(embedding, y);
-    search::Config config = space.decode_unit(unit);
-    if (!space.is_valid(config)) {
-      if (space.has_repair()) config = space.repair(std::move(config));
-      if (!space.is_valid(config)) return false;  // infeasible projection
-    }
-    const double v = objective.evaluate(config);
-    y_points.push_back(y);
-    values.push_back(v);
-    if (v < result.best_value) {
-      result.best_value = v;
-      result.best_config = config;
-    }
-    result.values.push_back(v);
-    result.trajectory.push_back(result.best_value);
-    return true;
-  };
-
-  // Initial design in the embedded box.
-  std::size_t guard = 0;
-  while (values.size() < std::min(options_.n_init, options_.max_evals) &&
-         guard++ < 100 * options_.n_init) {
-    std::vector<double> y(d);
-    for (auto& v : y) v = rng.uniform(-box, box);
-    evaluate_y(y);
-  }
-  if (values.empty()) {
-    throw std::runtime_error("rembo: no feasible projection found in the initial design");
-  }
-
-  // Unit-scale the embedded box for the GP.
-  auto y_to_unit = [&](const std::vector<double>& y) {
-    std::vector<double> u(d);
-    for (std::size_t k = 0; k < d; ++k) u[k] = (y[k] + box) / (2.0 * box);
-    return u;
-  };
-  auto unit_to_y = [&](const std::vector<double>& u) {
-    std::vector<double> y(d);
-    for (std::size_t k = 0; k < d; ++k) y[k] = u[k] * 2.0 * box - box;
-    return y;
-  };
-
-  GaussianProcess gp(options_.kernel);
-  std::size_t iteration = 0;
-  while (values.size() < options_.max_evals && guard++ < 100 * options_.max_evals) {
-    linalg::Matrix x(y_points.size(), d);
-    std::size_t best_idx = 0;
-    for (std::size_t r = 0; r < y_points.size(); ++r) {
-      const auto u = y_to_unit(y_points[r]);
-      for (std::size_t k = 0; k < d; ++k) x(r, k) = u[k];
-      if (values[r] < values[best_idx]) best_idx = r;
-    }
-
-    try {
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.set_hyperparams(GpHyperparams::isotropic(d));
-        gp.fit_with_hyperopt(std::move(x), values, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), values);
-      }
-    } catch (const std::exception& e) {
-      log_warn("rembo: surrogate failed (", e.what(), "); random step");
-      std::vector<double> y(d);
-      for (auto& v : y) v = rng.uniform(-box, box);
-      evaluate_y(y);
-      ++iteration;
-      continue;
-    }
-
-    const auto proposal_unit = maximize_acquisition(
-        gp, options_.acquisition, options_.acq_params, values[best_idx],
-        y_to_unit(y_points[best_idx]), rng, options_.maximizer, nullptr);
-    if (!evaluate_y(unit_to_y(proposal_unit))) {
-      // Infeasible projection: fall back to a random embedded point.
-      std::vector<double> y(d);
-      for (auto& v : y) v = rng.uniform(-box, box);
-      evaluate_y(y);
-    }
-    ++iteration;
-  }
-
-  result.evaluations = values.size();
-  result.seconds = watch.seconds();
+  if (result.found()) result.best_config = to_full(result.best_config);
   return result;
 }
 

@@ -4,6 +4,12 @@
 // low-dimensional linear subspace y ∈ [-√d, √d]^d, project x = A·y back to
 // the full space (clipped to the box), and evaluate there. Projection
 // distortions near the box boundary are the weakness the paper cites.
+//
+// The search is BayesOpt::run over the embedded box itself, whose one
+// constraint is that y's projection (repaired, when the space can repair)
+// is a valid configuration. The candidate filter and valid sampling skip
+// infeasible projections, so they are never evaluated and spend no budget.
+// Every hyperparameter search restarts from the isotropic defaults.
 
 #include "bo/acquisition.hpp"
 #include "linalg/matrix.hpp"

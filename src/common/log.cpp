@@ -47,9 +47,8 @@ std::string utc_timestamp() {
   std::tm tm{};
   gmtime_r(&secs, &tm);
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min,
-                tm.tm_sec, static_cast<int>(ms));
+  const std::size_t n = std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%S", &tm);
+  std::snprintf(buf + n, sizeof(buf) - n, ".%03dZ", static_cast<int>(ms));
   return buf;
 }
 }  // namespace

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "search/eval_db.hpp"
 #include "search/space.hpp"
 
 namespace tunekit::search {
@@ -27,5 +28,10 @@ struct SearchResult {
 
   bool found() const { return evaluations > 0 && best_config.size() > 0; }
 };
+
+/// A driver's result from its evaluation history: every value in order, the
+/// best finite one, and the best-so-far trajectory.
+SearchResult make_result(std::string method, const std::vector<Evaluation>& evals,
+                         double seconds);
 
 }  // namespace tunekit::search

@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
 #include "search/samplers.hpp"
-#include "search/sobol.hpp"
 
 namespace tunekit::service {
 
@@ -143,17 +142,7 @@ TuningSession::TuningSession(const search::SearchSpace& space, SessionOptions op
   if (options_.backend == SessionBackend::Bo && options_.n_init > 0) {
     const std::size_t n = std::min(options_.n_init, options_.max_evals);
     tunekit::Rng rng(options_.seed);
-    switch (options_.bo.init_design) {
-      case bo::InitialDesign::LatinHypercube:
-        init_design_ = search::sample_valid_configs(space_, n, rng, /*latin_hypercube=*/true);
-        break;
-      case bo::InitialDesign::Sobol:
-        init_design_ = search::SobolSequence::sample(space_, n, options_.seed | 1);
-        break;
-      case bo::InitialDesign::UniformRandom:
-        init_design_ = search::sample_valid_configs(space_, n, rng, /*latin_hypercube=*/false);
-        break;
-    }
+    init_design_ = bo::initial_design(space_, options_.bo.init_design, n, options_.seed, rng);
   }
   if (options_.backend == SessionBackend::Grid) {
     grid_ = search::grid_configs(space_, options_.grid_real_levels);
@@ -704,21 +693,8 @@ std::vector<search::Evaluation> TuningSession::evaluations() const {
 
 search::SearchResult TuningSession::to_result() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  search::SearchResult result;
-  result.method = std::string("session-") + to_string(options_.backend);
-  const auto evals = db_.all();
-  result.values.reserve(evals.size());
-  for (const auto& e : evals) {
-    result.values.push_back(e.value);
-    if (std::isfinite(e.value) && e.value < result.best_value) {
-      result.best_value = e.value;
-      result.best_config = e.config;
-    }
-    result.trajectory.push_back(result.best_value);
-  }
-  result.evaluations = evals.size();
-  result.seconds = watch_.seconds();
-  return result;
+  return search::make_result(std::string("session-") + to_string(options_.backend), db_.all(),
+                             watch_.seconds());
 }
 
 }  // namespace tunekit::service

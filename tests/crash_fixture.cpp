@@ -75,7 +75,7 @@ std::vector<double> find_config(const std::string& line) {
 
 [[noreturn]] void hang_forever() {
   volatile unsigned long long sink = 0;
-  for (;;) ++sink;
+  for (;;) sink = sink + 1;
 }
 
 [[noreturn]] void memory_hog() {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <stdexcept>
 
 #include "bo/additive_bo.hpp"
 #include "bo/bayes_opt.hpp"
@@ -238,6 +241,122 @@ TEST(BayesOptBatch, EmptyDbThrows) {
   const auto space = unit_cube(2);
   search::EvalDb db;
   EXPECT_THROW(BayesOpt().suggest_batch(db, space, 2), std::invalid_argument);
+}
+
+TEST(BayesOptBatch, AllFailedDbEntersAtFailurePenalty) {
+  const auto space = unit_cube(3);
+  search::EvalDb db;
+  tunekit::Rng rng(12);
+  for (int i = 0; i < 6; ++i) {
+    db.record(space.sample_valid(rng), std::numeric_limits<double>::quiet_NaN());
+  }
+  // Failures are left out by default, which leaves nothing to fit.
+  EXPECT_THROW(BayesOpt().suggest_batch(db, space, 3), std::invalid_argument);
+
+  BoOptions opt;
+  opt.failure_penalty = 100.0;
+  const auto batch = BayesOpt(opt).suggest_batch(db, space, 3);
+  ASSERT_EQ(batch.size(), 3u);
+  for (const auto& c : batch) EXPECT_TRUE(space.is_valid(c));
+}
+
+// --- Every strategy shares BayesOpt::run's failure policy ---------------------
+
+using Strategy =
+    std::function<search::SearchResult(search::Objective&, const SearchSpace&)>;
+
+struct StrategyCase {
+  const char* name;
+  Strategy run;
+};
+
+const StrategyCase kStrategies[] = {
+    {"joint",
+     [](search::Objective& obj, const SearchSpace& space) {
+       BoOptions opt;
+       opt.max_evals = 30;
+       opt.seed = 21;
+       return BayesOpt(opt).run(obj, space);
+     }},
+    {"dropout",
+     [](search::Objective& obj, const SearchSpace& space) {
+       DropoutBoOptions opt;
+       opt.max_evals = 30;
+       opt.active_dims = 3;
+       opt.seed = 21;
+       return DropoutBo(opt).run(obj, space);
+     }},
+    {"rembo",
+     [](search::Objective& obj, const SearchSpace& space) {
+       RemboOptions opt;
+       opt.max_evals = 30;
+       opt.embedding_dims = 3;
+       opt.seed = 21;
+       return Rembo(opt).run(obj, space);
+     }},
+    {"additive",
+     [](search::Objective& obj, const SearchSpace& space) {
+       AdditiveBoOptions opt;
+       opt.max_evals = 30;
+       opt.seed = 21;
+       return AdditiveBo({{0, 1}, {2, 3}, {4, 5}}, opt).run(obj, space);
+     }},
+};
+
+enum class Failure { Throws, ReturnsNaN };
+
+class StrategyFailures
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Failure>> {};
+
+TEST_P(StrategyFailures, RecordsFailuresAndSpendsTheBudget) {
+  const auto [index, failure] = GetParam();
+  const auto space = unit_cube(6);
+  std::vector<bool> failed;  // per objective call, in evaluation order
+  FunctionObjective obj([&, failure = failure](const Config& c) {
+    failed.push_back(c[0] > 0.6);
+    if (!failed.back()) return (c[1] - 0.3) * (c[1] - 0.3) + c[0];
+    if (failure == Failure::Throws) throw std::runtime_error("crash in kernel");
+    return std::numeric_limits<double>::quiet_NaN();
+  });
+  const auto result = kStrategies[index].run(obj, space);
+
+  EXPECT_EQ(result.evaluations, 30u);
+  ASSERT_EQ(result.values.size(), 30u);
+  ASSERT_EQ(failed.size(), 30u);
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    EXPECT_EQ(std::isnan(result.values[i]), static_cast<bool>(failed[i])) << "evaluation " << i;
+  }
+  ASSERT_TRUE(result.found());
+  EXPECT_TRUE(std::isfinite(result.best_value));
+  EXPECT_LE(result.best_config[0], 0.6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, StrategyFailures,
+    ::testing::Combine(::testing::Range<std::size_t>(0, std::size(kStrategies)),
+                       ::testing::Values(Failure::Throws, Failure::ReturnsNaN)),
+    [](const auto& info) {
+      return std::string(kStrategies[std::get<0>(info.param)].name) +
+             (std::get<1>(info.param) == Failure::Throws ? "_throws" : "_nan");
+    });
+
+TEST(Rembo, InfeasibleProjectionsSpendNoBudget) {
+  auto space = unit_cube(6);
+  space.add_constraint("x0-low", [](const Config& c) { return c[0] <= 0.05; });
+  std::size_t calls = 0;
+  FunctionObjective obj([&](const Config& c) {
+    ++calls;
+    EXPECT_TRUE(space.is_valid(c)) << "the objective saw an invalid configuration";
+    return (c[1] - 0.4) * (c[1] - 0.4);
+  });
+  RemboOptions opt;
+  opt.max_evals = 25;
+  opt.seed = 5;
+  const auto result = Rembo(opt).run(obj, space);
+  EXPECT_EQ(result.evaluations, 25u);
+  EXPECT_EQ(calls, 25u);
+  ASSERT_TRUE(result.found());
+  EXPECT_TRUE(space.is_valid(result.best_config));
 }
 
 }  // namespace

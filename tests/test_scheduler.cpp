@@ -23,6 +23,14 @@ search::SearchSpace two_dim_space() {
   return s;
 }
 
+/// `n` worker threads, each asked for one candidate per batch.
+SchedulerOptions workers(std::size_t n) {
+  SchedulerOptions o;
+  o.n_threads = n;
+  o.batch_size = n;
+  return o;
+}
+
 /// Thread-safe sphere objective that counts calls and records every config
 /// it was asked to evaluate, so the stress test can prove nothing was lost
 /// or evaluated twice.
@@ -82,7 +90,7 @@ TEST(EvalScheduler, NoLostOrDuplicateEvaluations) {
   TuningSession session(space, opt);
 
   CountingObjective objective;
-  EvalScheduler scheduler({/*n_threads=*/8, /*batch_size=*/8, {}});
+  EvalScheduler scheduler(workers(8));
   const auto result = scheduler.run(session, objective);
 
   // Budget is consumed exactly: every candidate evaluated once, none lost,
@@ -107,7 +115,7 @@ TEST(EvalScheduler, CrashingEvaluationsAreRetried) {
   TuningSession session(space, opt);
 
   FlakyObjective objective;
-  EvalScheduler scheduler({4, 4, {}});
+  EvalScheduler scheduler(workers(4));
   const auto result = scheduler.run(session, objective);
 
   // Every candidate crashed once then succeeded on retry — all 16 recorded.
@@ -132,7 +140,7 @@ TEST(EvalScheduler, AlwaysCrashingConfigsDropAtPenalty) {
     bool thread_safe() const override { return true; }
   } objective;
 
-  EvalScheduler scheduler({2, 2, {}});
+  EvalScheduler scheduler(workers(2));
   const auto result = scheduler.run(session, objective);
   // Attempts exhausted for every candidate; budget fully consumed by drops.
   EXPECT_EQ(session.completed(), 6u);
@@ -162,7 +170,7 @@ TEST(EvalScheduler, NonThreadSafeObjectiveForcedSequential) {
     std::atomic<int> in_flight_{0};
   } objective;
 
-  EvalScheduler scheduler({8, 8, {}});
+  EvalScheduler scheduler(workers(8));
   const auto result = scheduler.run(session, objective);
   EXPECT_EQ(result.evaluations, 8u);
 }
@@ -179,7 +187,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   {
     TuningSession session(space, opt);
     CountingObjective objective(sleep_ms);
-    EvalScheduler scheduler({1, 1, {}});
+    EvalScheduler scheduler(workers(1));
     scheduler.run(session, objective);
   }
   const double sequential = w1.seconds();
@@ -188,7 +196,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   {
     TuningSession session(space, opt);
     CountingObjective objective(sleep_ms);
-    EvalScheduler scheduler({8, 8, {}});
+    EvalScheduler scheduler(workers(8));
     scheduler.run(session, objective);
   }
   const double parallel = w8.seconds();
@@ -214,7 +222,7 @@ TEST(EvalScheduler, NonStandardThrowClassifiedAsCrash) {
     bool thread_safe() const override { return true; }
   } objective;
 
-  EvalScheduler scheduler({2, 2, {}});
+  EvalScheduler scheduler(workers(2));
   scheduler.run(session, objective);
   EXPECT_EQ(session.completed(), 4u);
   for (const auto& e : session.evaluations()) {

@@ -116,7 +116,7 @@ double chaos_draw(const std::vector<double>& config, std::uint64_t chaos_seed) {
   // Uninterruptible from the evaluation's point of view: no cancellation
   // polling, heartbeats keep flowing, only the supervisor's SIGKILL ends it.
   volatile std::uint64_t sink = 0;
-  for (;;) ++sink;
+  for (;;) sink = sink + 1;
 }
 
 tunekit::json::Value handle_eval(tunekit::core::TunableApp& app,
