@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
@@ -184,13 +183,6 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
   obs::Telemetry* telemetry = options_.telemetry;
   const bool traced = telemetry != nullptr && telemetry->enabled();
 
-  // Crash recovery: restore prior evaluations if asked to.
-  if (options_.resume && !options_.checkpoint_path.empty() &&
-      std::filesystem::exists(options_.checkpoint_path)) {
-    db = search::EvalDb::load(options_.checkpoint_path, space);
-    log_info("bo: resumed ", db.size(), " evaluations from ", options_.checkpoint_path);
-  }
-
   auto evaluate_and_record = [&](const search::Config& config) {
     obs::ScopedSpan eval_span(telemetry, "eval");
     if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
@@ -222,10 +214,6 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
     observe_seconds(options_, obs::metric::kEvalSeconds, seconds);
     if (robust::is_failure(outcome)) value = std::numeric_limits<double>::quiet_NaN();
     db.record(config, value, seconds, outcome);
-    if (!options_.checkpoint_path.empty() && options_.checkpoint_every > 0 &&
-        db.size() % options_.checkpoint_every == 0) {
-      db.save(options_.checkpoint_path);
-    }
   };
 
   // Warm start: source-task winners first (transfer learning).
@@ -262,9 +250,6 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
             : space.sample_valid(rng));
   }
 
-  if (!options_.checkpoint_path.empty()) {
-    db.save(options_.checkpoint_path);
-  }
   return search::make_result("bo", db.all(), watch.seconds());
 }
 
@@ -289,9 +274,13 @@ BayesOpt::Batch BayesOpt::suggest_batch(const search::EvalDb& db,
   }
   // Separate streams: the search's random restarts draw from one, the
   // acquisition (multistarts, duplicate and failure fallbacks) from the
-  // other, so searching never shifts what the acquisition draws.
+  // other, so searching never shifts what the acquisition draws. The
+  // acquisition stream also keys on the liar-set size, so each ask of a
+  // session draws fresh multistarts (a fixed stream re-draws the same
+  // offsets around an unchanged incumbent, and the argmax keeps landing on
+  // evaluated points), while the same state always draws the same ones.
   tunekit::Rng hyperopt_rng(options_.seed ^ 0xba7c4);
-  tunekit::Rng rng(options_.seed ^ 0xac9f1);
+  tunekit::Rng rng(options_.seed ^ (0xac9f1 + evals.size() * 0x9e3779b97f4a7c15ull));
 
   GpSurrogate surrogate(options_);
   if (held) surrogate.gp().set_hyperparams(*held);

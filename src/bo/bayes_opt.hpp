@@ -19,8 +19,9 @@
 //
 // Features carried over from GPTune because the paper depends on them:
 //  * hard search-space constraints (candidates are filtered for validity),
-//  * crash recovery (JSON checkpoints via EvalDb; run() resumes from them),
 //  * transfer learning (TransferPrior as GP prior mean).
+// Crash recovery lives in the session journal (service::TuningSession),
+// which every planned search of core::PlanExecutor runs through.
 
 #include <optional>
 #include <string>
@@ -74,13 +75,6 @@ struct BoOptions {
   /// random valid configs after this many repeats of an already-evaluated
   /// configuration.
   std::size_t duplicate_retries = 3;
-
-  /// Checkpointing: empty path disables. When `resume` is true and the file
-  /// exists, previous evaluations are loaded and the budget continues from
-  /// there.
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 10;
-  bool resume = false;
 
   /// Optional transfer-learning prior fitted on a source task.
   std::optional<TransferPrior> transfer;
@@ -168,8 +162,7 @@ class BayesOpt {
 
   const BoOptions& options() const { return options_; }
 
-  /// Run the search. The returned SearchResult's trajectory includes any
-  /// checkpoint-restored evaluations first.
+  /// Run the search.
   search::SearchResult run(search::Objective& objective,
                            const search::SearchSpace& space) const;
 
@@ -205,9 +198,11 @@ class BayesOpt {
   /// (`held`; nullopt = the isotropic defaults). With `search`, the batch's
   /// first fit runs the hyperparameter search warm-started from `held`;
   /// without, every fit is one plain refit with `held`. The acquisition
-  /// draws from its own random stream, so a call that reuses hyperparameters
-  /// proposes exactly what a call that searched its way to the same values
-  /// proposes.
+  /// draws from its own random stream, seeded from the seed and the size of
+  /// `db` (the observations plus liars the call fits): successive asks draw
+  /// fresh candidates, a regenerated ask over the same state draws what the
+  /// original did, and a call that reuses hyperparameters proposes exactly
+  /// what a call that searched its way to the same values proposes.
   Batch suggest_batch(const search::EvalDb& db, const search::SearchSpace& space,
                       std::size_t k, const std::optional<GpHyperparams>& held,
                       bool search) const;

@@ -1,7 +1,7 @@
 #pragma once
-// Fixed-size worker pool used to run independent tuning searches in parallel
-// (the paper runs the per-routine searches concurrently: "which can be
-// conducted in parallel") and to parallelize Random Search evaluations.
+// Fixed-size worker pool used to evaluate batches of configurations in
+// parallel (the session scheduler's asked batches, Random Search) and to fit
+// random-forest trees.
 //
 // The pool follows the explicit-parallelism idiom: tasks are plain
 // std::function jobs, results flow back through std::future, and the pool is

@@ -1,15 +1,12 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <numeric>
 
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/tunable_app.hpp"
 #include "obs/telemetry.hpp"
 #include "service/scheduler.hpp"
@@ -47,6 +44,7 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
   Stopwatch watch;
   const search::SearchSpace& space = app.space();
   obs::Telemetry* telemetry = options_.telemetry;
+  const std::size_t n_threads = std::max<std::size_t>(1, options_.n_threads);
 
   // Process isolation: evaluate through sandboxed worker processes. The
   // wrap happens at TunableApp level so subspace embedding stays on this
@@ -54,8 +52,7 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
   // the pool's SIGKILL deadline takes over from the in-process watchdog.
   robust::IsolationOptions isolation = options_.isolation;
   if (isolation.telemetry == nullptr) isolation.telemetry = telemetry;
-  const auto sandbox = robust::WorkerPool::create(
-      isolation, std::max<std::size_t>(1, options_.n_threads));
+  const auto sandbox = robust::WorkerPool::create(isolation, n_threads);
   robust::MeasureOptions measure = options_.measure;
   std::unique_ptr<robust::SandboxedApp> sandboxed;
   if (sandbox) {
@@ -64,6 +61,16 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
     measure.watchdog.timeout_seconds = std::numeric_limits<double>::infinity();
   }
   TunableApp& eval_app = sandboxed ? *sandboxed : app;
+
+  // Every search is a session driven to exhaustion by this scheduler, which
+  // measures each evaluation under `measure` on n_threads workers. It keeps
+  // the default thread isolation: the app is already sandboxed above, and a
+  // second pool would sandbox every evaluation twice.
+  service::SchedulerOptions sched_opts;
+  sched_opts.n_threads = n_threads;
+  sched_opts.measure = measure;
+  sched_opts.telemetry = telemetry;
+  const service::EvalScheduler scheduler(sched_opts);
 
   ExecutionResult exec;
   search::Config base = app.baseline();
@@ -78,160 +85,93 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
 
-  std::size_t search_counter = 0;
-  const std::size_t n_stages = plan.n_stages();
-  for (std::size_t stage = 0; stage < n_stages; ++stage) {
-    const auto searches = plan.stage_searches(stage);
-    if (searches.empty()) continue;
-
-    std::vector<SearchOutcome> stage_outcomes(searches.size());
-
-    // Allocate this stage's per-search budgets up front, honoring the total
-    // budget (paper step 1: a predetermined computing budget bounds the
-    // whole tuning campaign).
-    std::vector<std::size_t> budgets(searches.size());
-    for (std::size_t si = 0; si < searches.size(); ++si) {
-      std::size_t b = budget_for(searches[si]->params.size());
-      if (options_.max_total_evals > 0) {
-        const std::size_t used = exec.total_evaluations +
-                                 std::accumulate(budgets.begin(),
-                                                 budgets.begin() + static_cast<std::ptrdiff_t>(si),
-                                                 std::size_t{0});
-        const std::size_t remaining =
-            options_.max_total_evals > used ? options_.max_total_evals - used : 0;
-        b = std::min(b, remaining);
-        if (b > 0 && b < 3) b = 0;  // too small to search meaningfully
-        if (b == 0) {
-          log_warn("executor: budget exhausted; skipping search '", searches[si]->name,
-                   "'");
-        }
-      }
-      budgets[si] = b;
+  auto run_search = [&](const graph::PlannedSearch& planned, std::size_t search_id,
+                        std::size_t budget) {
+    obs::ScopedSpan search_span(telemetry, "search." + planned.name);
+    SearchOutcome outcome;
+    outcome.planned = planned;
+    if (budget == 0) {
+      outcome.result.method = "skipped";
+      return outcome;
     }
 
-    // Captured before the fan-out: stage searches may run on pool threads,
-    // where the ambient span would otherwise be empty.
-    const obs::SpanId stage_parent = obs::Telemetry::current_span();
+    RegionSumObjective region_obj(eval_app, planned.objective_regions);
+    search::SubspaceObjective sub_obj(region_obj, space, planned.params, base);
 
-    auto run_one = [&](std::size_t si) {
-      const graph::PlannedSearch& planned = *searches[si];
-      const std::size_t search_id = search_counter + si;
-      obs::CurrentSpanScope ambient(stage_parent);
-      obs::ScopedSpan search_span(telemetry, "search." + planned.name);
+    const std::size_t card = discrete_cardinality(
+        space, planned.params,
+        static_cast<std::size_t>(options_.enumerate_threshold *
+                                 static_cast<double>(budget)) +
+            1);
+    const bool enumerate =
+        options_.enumerate_threshold > 0.0 && card > 0 &&
+        static_cast<double>(card) <=
+            options_.enumerate_threshold * static_cast<double>(budget);
 
-      if (budgets[si] == 0) {
-        SearchOutcome skipped;
-        skipped.planned = planned;
-        skipped.result.method = "skipped";
-        stage_outcomes[si] = std::move(skipped);
-        return;
-      }
-
-      RegionSumObjective region_obj(eval_app, planned.objective_regions);
-      search::SubspaceObjective sub_obj(region_obj, space, planned.params, base);
-      // Hardened evaluation for the blocking drivers: watchdog + repeats per
-      // call, classified failures re-thrown as EvalFailure (which BayesOpt
-      // records and GridSearch tolerates). The session path instead passes
-      // the options to the scheduler, which measures on its own workers.
-      const bool harden = !robust::is_trivial(measure);
-      robust::HardenedObjective hardened_obj(sub_obj, measure);
-      search::Objective& driver_obj =
-          harden ? static_cast<search::Objective&>(hardened_obj) : sub_obj;
-
-      const std::size_t budget = budgets[si];
-      search::SearchResult result;
-
-      const std::size_t card = discrete_cardinality(
-          space, planned.params,
-          static_cast<std::size_t>(options_.enumerate_threshold *
-                                   static_cast<double>(budget)) +
-              1);
-      const bool enumerate =
-          options_.enumerate_threshold > 0.0 && card > 0 &&
-          static_cast<double>(card) <=
-              options_.enumerate_threshold * static_cast<double>(budget);
-
-      if (options_.session_scheduler) {
-        // Session service path: ask/tell batches evaluated concurrently.
-        service::SessionOptions sopts;
-        sopts.telemetry = telemetry;
-        sopts.bo = options_.bo;
-        sopts.n_init = options_.bo.n_init;
-        sopts.failure_penalty = options_.bo.failure_penalty;
-        sopts.seed = options_.bo.seed + 7919 * (search_id + 1);
-        if (enumerate) {
-          sopts.backend = service::SessionBackend::Grid;
-          sopts.max_evals = options_.max_total_evals > 0 ? std::min(card, budget) : card;
-          log_info("executor: '", planned.name, "' enumerated through the scheduler (",
-                   sopts.max_evals, " configs)");
-        } else {
-          sopts.backend = service::SessionBackend::Bo;
-          sopts.max_evals = budget;
-        }
-        std::string journal;
-        if (!options_.checkpoint_dir.empty()) {
-          journal = options_.checkpoint_dir + "/search_" + std::to_string(search_id) +
-                    ".journal.jsonl";
-        }
-        std::unique_ptr<service::TuningSession> session;
-        if (!journal.empty() && options_.bo.resume && std::filesystem::exists(journal)) {
-          session = service::TuningSession::resume(sub_obj.space(), sopts, journal);
-        } else {
-          session = std::make_unique<service::TuningSession>(sub_obj.space(), sopts,
-                                                             journal);
-        }
-        // The scheduler gets the stripped measure options and default
-        // (thread) isolation: sub_obj already routes through the sandbox, so
-        // giving the scheduler its own pool would double-sandbox.
-        service::SchedulerOptions sched_opts;
-        sched_opts.n_threads = options_.n_threads;
-        sched_opts.measure = measure;
-        sched_opts.telemetry = telemetry;
-        service::EvalScheduler scheduler(sched_opts);
-        result = scheduler.run(*session, sub_obj);
-      } else if (enumerate) {
-        log_info("executor: '", planned.name, "' enumerated exhaustively (", card,
-                 " configs)");
-        search::GridSearchOptions grid_opts;
-        if (options_.max_total_evals > 0) grid_opts.max_evals = budget;
-        search::GridSearch grid(grid_opts);
-        result = grid.run(driver_obj, sub_obj.space());
-        result.method = "enumerate";
-      } else {
-        bo::BoOptions bo_opts = options_.bo;
-        bo_opts.telemetry = telemetry;
-        bo_opts.max_evals = budget;
-        bo_opts.seed = options_.bo.seed + 7919 * (search_id + 1);
-        if (!options_.checkpoint_dir.empty()) {
-          bo_opts.checkpoint_path =
-              options_.checkpoint_dir + "/search_" + std::to_string(search_id) + ".json";
-        }
-        bo::BayesOpt driver(bo_opts);
-        result = driver.run(driver_obj, sub_obj.space());
-      }
-
-      SearchOutcome outcome;
-      outcome.planned = planned;
-      outcome.result = std::move(result);
-      if (outcome.result.found()) {
-        for (std::size_t k = 0; k < planned.params.size(); ++k) {
-          outcome.tuned_values[space.param(planned.params[k]).name()] =
-              outcome.result.best_config[k];
-        }
-      }
-      stage_outcomes[si] = std::move(outcome);
-    };
-
-    // With the session scheduler, n_threads parallelizes *within* each
-    // search; running searches concurrently on top would nest thread pools.
-    // (A sandboxed app is always thread-safe: workers are processes.)
-    const bool parallel = options_.n_threads > 1 && eval_app.thread_safe() &&
-                          searches.size() > 1 && !options_.session_scheduler;
-    if (parallel) {
-      ThreadPool pool(std::min(options_.n_threads, searches.size()));
-      pool.parallel_for(searches.size(), run_one);
+    service::SessionOptions sopts;
+    sopts.telemetry = telemetry;
+    sopts.bo = options_.bo;
+    sopts.n_init = options_.bo.n_init;
+    sopts.failure_penalty = options_.bo.failure_penalty;
+    sopts.seed = options_.bo.seed + 7919 * (search_id + 1);
+    // A failed evaluation is recorded at failure_penalty at once and costs
+    // one budget unit; transient crashes are the watchdog's to retry.
+    sopts.max_attempts = 1;
+    if (enumerate) {
+      sopts.backend = service::SessionBackend::Grid;
+      sopts.max_evals = options_.max_total_evals > 0 ? std::min(card, budget) : card;
+      log_info("executor: '", planned.name, "' enumerated exhaustively (", sopts.max_evals,
+               " configs)");
     } else {
-      for (std::size_t si = 0; si < searches.size(); ++si) run_one(si);
+      sopts.backend = service::SessionBackend::Bo;
+      sopts.max_evals = budget;
+    }
+
+    // With a checkpoint dir each search journals; a search whose journal
+    // already exists resumes from it, continuing to the current budget.
+    std::string journal;
+    if (!options_.checkpoint_dir.empty()) {
+      journal = options_.checkpoint_dir + "/search_" + std::to_string(search_id) +
+                ".journal.jsonl";
+    }
+    const auto session =
+        !journal.empty() && std::filesystem::exists(journal)
+            ? service::TuningSession::resume(sub_obj.space(), sopts, journal)
+            : std::make_unique<service::TuningSession>(sub_obj.space(), sopts, journal);
+    outcome.result = scheduler.run(*session, sub_obj);
+    outcome.result.method = enumerate ? "enumerate" : "bo";
+    if (outcome.result.found()) {
+      for (std::size_t k = 0; k < planned.params.size(); ++k) {
+        outcome.tuned_values[space.param(planned.params[k]).name()] =
+            outcome.result.best_config[k];
+      }
+    }
+    return outcome;
+  };
+
+  std::size_t search_id = 0;
+  for (std::size_t stage = 0; stage < plan.n_stages(); ++stage) {
+    // A stage's searches run one after another, each from the same base;
+    // their tuned values are adopted only once the whole stage is done.
+    // Budgets are claimed in plan order against the total budget (paper
+    // step 1: a predetermined computing budget bounds the whole tuning
+    // campaign): a search the remaining budget cannot cover is truncated,
+    // and one left with nothing is skipped.
+    std::size_t claimed = exec.total_evaluations;
+    std::vector<SearchOutcome> stage_outcomes;
+    for (const graph::PlannedSearch* planned : plan.stage_searches(stage)) {
+      std::size_t budget = budget_for(planned->params.size());
+      if (options_.max_total_evals > 0) {
+        const std::size_t remaining =
+            options_.max_total_evals > claimed ? options_.max_total_evals - claimed : 0;
+        budget = std::min(budget, remaining);
+        if (budget > 0 && budget < 3) budget = 0;  // too small to search meaningfully
+        if (budget == 0) {
+          log_warn("executor: budget exhausted; skipping search '", planned->name, "'");
+        }
+      }
+      claimed += budget;
+      stage_outcomes.push_back(run_search(*planned, search_id++, budget));
     }
 
     // Adopt this stage's tuned values into the base configuration.
@@ -244,7 +184,6 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
       exec.total_evaluations += outcome.result.evaluations;
       exec.outcomes.push_back(std::move(outcome));
     }
-    search_counter += searches.size();
   }
 
   exec.final_config = base;

@@ -4,10 +4,12 @@
 // Stages run sequentially; stage results (tuned parameter values) are
 // written into the base configuration before the next stage starts — this
 // is how "first determine the batch value that optimizes the Slater
-// Determinant region" happens before the per-group searches. Searches
-// within a stage are independent (disjoint parameters) and run in parallel
-// when the app is thread-safe and n_threads > 1.
+// Determinant region" happens before the per-group searches. A stage's
+// searches (disjoint parameters) run one after another from the same base.
 //
+// Every search runs one way: a service::TuningSession driven to exhaustion
+// by a service::EvalScheduler, in memory, or journaled when a checkpoint
+// directory is given (the journal is the only crash-recovery format).
 // Backend choice per search: BO by default; a search whose discrete
 // sub-space is smaller than its evaluation budget is exhaustively
 // enumerated instead (the paper obtains the MPI grid "without incurring the
@@ -20,7 +22,6 @@
 #include "graph/search_plan.hpp"
 #include "robust/measure.hpp"
 #include "robust/worker_pool.hpp"
-#include "search/grid_search.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
 
@@ -45,7 +46,9 @@ struct ExecutorOptions {
   /// parameters keep the base configuration).
   std::size_t max_total_evals = 0;
 
-  /// Template BO options (seed is offset per search).
+  /// Template BO options for every search's session: `seed` is offset per
+  /// search, and `max_evals` and `warm_start` are ignored (the budget rule
+  /// above sets each search's budget; see SessionOptions::bo).
   bo::BoOptions bo;
 
   /// Enumerate exhaustively instead of BO when the discrete sub-space has
@@ -53,21 +56,16 @@ struct ExecutorOptions {
   /// cheaper than the BO budget; 0 disables enumeration).
   double enumerate_threshold = 1.0;
 
-  /// Parallel searches within a stage (requires a thread-safe app).
+  /// Evaluation workers per search. Above 1 each search asks for
+  /// constant-liar batches of this size and evaluates them concurrently
+  /// (requires a thread-safe app; otherwise batches of one).
   std::size_t n_threads = 1;
 
-  /// Route every search through the session service (service::TuningSession
-  /// + service::EvalScheduler) instead of the blocking drivers: candidates
-  /// are asked in constant-liar batches and evaluated concurrently on
-  /// n_threads workers — *intra-search* parallelism, which pays off when a
-  /// single evaluation is expensive. Requires a thread-safe app; stage-level
-  /// search parallelism is disabled to avoid nesting thread pools. With a
-  /// checkpoint_dir set, each search journals to
-  /// <dir>/search_<id>.journal.jsonl and bo.resume picks a killed search
-  /// back up with its in-flight candidates re-issued.
-  bool session_scheduler = false;
-
-  /// Directory for per-search checkpoint files; empty disables.
+  /// Directory for per-search crash-recovery journals; empty keeps every
+  /// search in memory. Search i journals to <dir>/search_<i>.journal.jsonl;
+  /// when that journal already exists the search resumes from it (its
+  /// completed evaluations restored, in-flight candidates re-issued) and
+  /// continues to the current budget.
   std::string checkpoint_dir;
 
   /// Hardened-evaluation settings applied to every search evaluation:

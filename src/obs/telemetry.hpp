@@ -7,7 +7,7 @@
 //     ├─ phase.sensitivity ── eval ── worker.rpc ── worker.objective
 //     ├─ phase.importance  ── eval ...
 //     ├─ phase.partition
-//     └─ phase.execution ── search.<name> ── bo.iteration ── eval ── ...
+//     └─ phase.execution ── search.<name> ── scheduler.batch ── eval ── ...
 //
 // Parents propagate two ways:
 //   * implicitly — each thread carries a "current span" (set by ScopedSpan /

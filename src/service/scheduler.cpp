@@ -101,7 +101,7 @@ search::SearchResult EvalScheduler::run_impl(TuningSession& session,
       telemetry->metrics().gauge(obs::metric::kQueueDepth)
           .set(static_cast<double>(batch.size()));
     }
-    pool.parallel_for(batch.size(), [&](std::size_t i) {
+    const auto evaluate = [&](std::size_t i) {
       const Candidate& c = batch[i];
       obs::CurrentSpanScope ambient(batch_span.id());
       obs::ScopedSpan eval_span(telemetry, "eval");
@@ -138,7 +138,14 @@ search::SearchResult EvalScheduler::run_impl(TuningSession& session,
         // never leave a candidate unresolved.
         session.tell_failure(c.id, robust::EvalOutcome::Crashed);
       }
-    });
+    };
+    // A lone candidate (every batch of a one-worker search) runs right here:
+    // handing it to the pool would add two thread wake-ups per evaluation.
+    if (batch.size() == 1) {
+      evaluate(0);
+    } else {
+      pool.parallel_for(batch.size(), evaluate);
+    }
     if (traced) telemetry->metrics().gauge(obs::metric::kQueueDepth).set(0.0);
     // A kill between batches loses at most this batch's counter updates.
     session.flush_metrics();

@@ -1,12 +1,14 @@
 #pragma once
 // EvalScheduler: drives a TuningSession to exhaustion against an in-process
 // objective, evaluating each asked batch concurrently on a thread pool.
+// core::PlanExecutor runs every planned search through it.
 //
 // This is what gives tunekit *intra-search* parallelism: BayesOpt::run()
 // evaluates strictly one configuration per iteration, while the scheduler
 // asks for `batch_size` constant-liar candidates at a time and spreads them
 // across workers — the win grows with the cost of a single evaluation
-// (real HPC evaluations are minutes, not microseconds). Failing
+// (real HPC evaluations are minutes, not microseconds). With one worker it
+// is the plain sequential ask/evaluate/tell loop. Failing
 // evaluations are reported with tell_failure() and their classified
 // EvalOutcome, so the session's retry / failure_penalty policy applies and
 // the journal records *why* each candidate failed.

@@ -110,8 +110,6 @@ bo::BoOptions surrogate_options(const SessionOptions& o) {
   b.max_evals = o.max_evals;
   b.n_init = o.n_init;
   b.failure_penalty = o.failure_penalty;
-  b.checkpoint_path.clear();
-  b.resume = false;
   if (b.telemetry == nullptr) b.telemetry = o.telemetry;
   return b;
 }

@@ -67,11 +67,12 @@ struct SessionOptions {
   std::size_t n_init = 5;
 
   SessionBackend backend = SessionBackend::Bo;
-  /// Surrogate/acquisition settings for the Bo backend. Its budget,
-  /// checkpoint, and seed fields are ignored — the session's own fields
-  /// govern those. `hyperopt_every` counts completed evaluations: the held
-  /// hyperparameters are searched again once that many have completed since
-  /// the last search (0 = never search; the GP keeps the isotropic defaults).
+  /// Surrogate/acquisition settings for the Bo backend. Its budget, seed
+  /// and warm_start fields are ignored — the session's own fields govern
+  /// the first two, and a warm-start point is told through observe().
+  /// `hyperopt_every` counts completed evaluations: the held hyperparameters
+  /// are searched again once that many have completed since the last search
+  /// (0 = never search; the GP keeps the isotropic defaults).
   bo::BoOptions bo;
 
   /// A candidate not told within this many seconds of issue is treated as a

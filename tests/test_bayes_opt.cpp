@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 
 #include "search/random_search.hpp"
 
@@ -112,31 +110,6 @@ TEST(BayesOpt, TrajectoryMonotone) {
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
     EXPECT_LE(result.trajectory[i], result.trajectory[i - 1]);
   }
-}
-
-TEST(BayesOpt, CheckpointWritesAndResumes) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tunekit_bo_ckpt.json").string();
-  std::remove(path.c_str());
-
-  auto obj = bowl();
-  BoOptions opt;
-  opt.max_evals = 15;
-  opt.seed = 3;
-  opt.checkpoint_path = path;
-  opt.checkpoint_every = 5;
-  BayesOpt(opt).run(obj, bowl_space());
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  // Resume with a larger budget: the first 15 evaluations come from disk.
-  BoOptions resume_opt = opt;
-  resume_opt.max_evals = 25;
-  resume_opt.resume = true;
-  search::CountingObjective counted(obj);
-  const auto resumed = BayesOpt(resume_opt).run(counted, bowl_space());
-  EXPECT_EQ(resumed.evaluations, 25u);
-  EXPECT_EQ(counted.count(), 10u);  // only the new evaluations ran
-  std::remove(path.c_str());
 }
 
 TEST(BayesOpt, TimeoutValueClampsSurrogateTargets) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <functional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/stopwatch.hpp"
@@ -216,14 +219,13 @@ TEST(PlanExecutor, SessionSchedulerProducesValidPlanResult) {
   opt.evals_per_param = 8;
   opt.min_evals = 8;
   opt.bo.seed = 3;
-  opt.session_scheduler = true;
   opt.n_threads = 4;
   const auto result = PlanExecutor(opt).execute(app, plan);
 
   EXPECT_TRUE(app.space().is_valid(result.final_config));
   EXPECT_EQ(result.outcomes.size(), plan.searches.size());
   for (const auto& o : result.outcomes) {
-    EXPECT_TRUE(o.result.method.rfind("session-", 0) == 0) << o.result.method;
+    EXPECT_TRUE(o.result.method == "bo" || o.result.method == "enumerate") << o.result.method;
     EXPECT_GT(o.result.evaluations, 0u);
   }
   const double baseline = app.evaluate_regions(app.space().defaults()).total;
@@ -241,9 +243,8 @@ TEST(PlanExecutor, SessionSchedulerBeatsSequentialOnSlowApp) {
   base.bo.seed = 3;
   base.enumerate_threshold = 0.0;  // force BO so budgets match exactly
 
-  ExecutorOptions seq = base;  // blocking BayesOpt::run path
+  ExecutorOptions seq = base;  // one worker: batches of one
   ExecutorOptions par = base;
-  par.session_scheduler = true;
   par.n_threads = 8;
 
   SlowApp slow_seq(inner_seq, sleep_ms);
@@ -285,7 +286,6 @@ TEST(PlanExecutor, SessionSchedulerCase3EightThreads) {
   base.bo.seed = 11;
   base.enumerate_threshold = 0.0;  // same backend both paths: equal budget
   ExecutorOptions par = base;
-  par.session_scheduler = true;
   par.n_threads = 8;
 
   SlowApp slow_seq(inner_seq, 4.0);
@@ -313,7 +313,6 @@ TEST(PlanExecutor, SessionSchedulerJournalsAndResumes) {
   ExecutorOptions opt;
   opt.evals_per_param = 6;
   opt.min_evals = 6;
-  opt.session_scheduler = true;
   opt.n_threads = 2;
   opt.checkpoint_dir = dir.string();
   const auto first = PlanExecutor(opt).execute(app, plan);
@@ -328,11 +327,98 @@ TEST(PlanExecutor, SessionSchedulerJournalsAndResumes) {
 
   // A rerun with resume picks the finished journals up and still produces a
   // valid result (every search is already exhausted, so no new evals).
-  opt.bo.resume = true;
   const auto second = PlanExecutor(opt).execute(app, plan);
   EXPECT_TRUE(app.space().is_valid(second.final_config));
 
   std::filesystem::remove_all(dir);
+}
+
+/// Forwards to another app, counting the evaluations that reach it; those
+/// for which `fails` holds throw, as a crashing application run would.
+class CountingApp final : public TunableApp {
+ public:
+  explicit CountingApp(TunableApp& inner,
+                       std::function<bool(const search::Config&)> fails = nullptr)
+      : inner_(inner), fails_(std::move(fails)) {}
+
+  const search::SearchSpace& space() const override { return inner_.space(); }
+  std::vector<RoutineSpec> routines() const override { return inner_.routines(); }
+  std::vector<std::string> outer_regions() const override {
+    return inner_.outer_regions();
+  }
+  search::Config baseline() const override { return inner_.baseline(); }
+  bool thread_safe() const override { return inner_.thread_safe(); }
+
+  search::RegionTimes evaluate_regions(const search::Config& c) override {
+    ++calls_;
+    if (fails_ && fails_(c)) {
+      ++failures_;
+      throw std::runtime_error("application crashed");
+    }
+    return inner_.evaluate_regions(c);
+  }
+
+  std::size_t calls() const { return calls_; }
+  std::size_t failures() const { return failures_; }
+
+ private:
+  TunableApp& inner_;
+  std::function<bool(const search::Config&)> fails_;
+  std::atomic<std::size_t> calls_{0};
+  std::atomic<std::size_t> failures_{0};
+};
+
+TEST(PlanExecutor, CheckpointDirResumesSearchesToALargerBudget) {
+  StagedApp app;
+  const auto plan = plan_for(app);
+  const auto dir = std::filesystem::temp_directory_path() / "tunekit_exec_resume";
+  std::filesystem::remove_all(dir);
+
+  ExecutorOptions opt;
+  opt.evals_per_param = 3;
+  opt.min_evals = 3;
+  opt.enumerate_threshold = 0.0;  // BO everywhere: each search spends its budget
+  opt.checkpoint_dir = dir.string();
+  const auto first = PlanExecutor(opt).execute(app, plan);
+
+  // Rerun on the same directory with twice the budget: every search resumes
+  // from its journal, so the app runs only the new evaluations.
+  opt.evals_per_param = 6;
+  opt.min_evals = 6;
+  const PlanExecutor larger(opt);
+  CountingApp counted(app);
+  const auto second = larger.execute(counted, plan);
+  ASSERT_EQ(second.outcomes.size(), first.outcomes.size());
+  std::size_t new_evals = 0;
+  for (std::size_t i = 0; i < second.outcomes.size(); ++i) {
+    const auto& o = second.outcomes[i];
+    EXPECT_EQ(o.result.evaluations, larger.budget_for(o.planned.params.size()))
+        << o.planned.name;
+    EXPECT_LT(first.outcomes[i].result.evaluations, o.result.evaluations);
+    new_evals += o.result.evaluations - first.outcomes[i].result.evaluations;
+  }
+  EXPECT_EQ(counted.calls(), new_evals + 1);  // + the final measurement
+  EXPECT_TRUE(app.space().is_valid(second.final_config));
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PlanExecutor, EvaluationCountMatchesAppCallsWhenEvaluationsFail) {
+  // A failed evaluation is recorded once and costs one budget unit; nothing
+  // is re-run behind the count, sequentially or in batches.
+  for (const std::size_t threads : {1u, 4u}) {
+    StagedApp inner;
+    const auto plan = plan_for(inner);
+    CountingApp app(inner, [](const search::Config& c) { return c[1] == 8.0 || c[2] == 8.0; });
+    ExecutorOptions opt;
+    opt.evals_per_param = 6;
+    opt.min_evals = 6;
+    opt.enumerate_threshold = 0.0;
+    opt.n_threads = threads;
+    const auto result = PlanExecutor(opt).execute(app, plan);
+    EXPECT_GT(app.failures(), 0u) << threads << " threads";
+    EXPECT_EQ(result.total_evaluations, app.calls()) << threads << " threads";
+  }
 }
 
 TEST(PlanExecutor, TunedValuesNamedCorrectly) {

@@ -99,11 +99,10 @@ TEST(Integration, CheckpointDirectoryEnablesRecovery) {
   opt.executor.min_evals = 6;
   opt.executor.enumerate_threshold = 0.0;
   opt.executor.checkpoint_dir = dir;
-  opt.executor.bo.checkpoint_every = 2;
   Methodology m(opt);
   m.run(app);
 
-  // One checkpoint file per executed search, loadable as an EvalDb.
+  // One journal per executed search.
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     ++files;

@@ -113,18 +113,26 @@ TEST(Methodology, FeatureImportanceProduced) {
 }
 
 TEST(Methodology, FullRunImprovesOverBaseline) {
+  // One run's tuned total beats or misses the baseline by seed luck; the
+  // median over seeds 1-5 at the paper's 10 x num_parameters budget is what
+  // "improves" means.
   synth::SynthApp app(synth::SynthCase::Case4);
   auto opt = synth_options();
-  opt.executor.evals_per_param = 6;
-  opt.executor.bo.seed = 5;
-  Methodology m(opt);
-  const auto result = m.run(app);
+  opt.executor.evals_per_param = 10;
+  std::vector<double> tuned;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    opt.executor.bo.seed = seed;
+    Methodology m(opt);
+    const auto result = m.run(app);
+    tuned.push_back(result.execution.final_times.total);
+    EXPECT_GT(result.total_observations, result.analysis.observations) << "seed " << seed;
+    EXPECT_FALSE(result.execution.outcomes.empty()) << "seed " << seed;
+    EXPECT_TRUE(app.space().is_valid(result.execution.final_config)) << "seed " << seed;
+  }
 
   const double baseline_value = app.evaluate_regions(app.baseline()).total;
-  EXPECT_LT(result.execution.final_times.total, baseline_value);
-  EXPECT_GT(result.total_observations, result.analysis.observations);
-  EXPECT_FALSE(result.execution.outcomes.empty());
-  EXPECT_TRUE(app.space().is_valid(result.execution.final_config));
+  std::sort(tuned.begin(), tuned.end());
+  EXPECT_LT(tuned[tuned.size() / 2], baseline_value);
 }
 
 TEST(Methodology, TddftPlanReproducesTableVII) {

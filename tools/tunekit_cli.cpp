@@ -36,7 +36,7 @@
 //   --evals-per-param <n>    search budget rule (default 10)
 //   --min-evals <n>          search budget floor (default 20)
 //   --seed <n>               RNG seed
-//   --checkpoint-dir <path>  per-search crash-recovery checkpoints
+//   --checkpoint-dir <path>  per-search crash-recovery journals (tune)
 //   --dot                    also print the pruned influence DAG as Graphviz
 //
 // Observability:
@@ -50,7 +50,8 @@
 //   --max-evals <n>          session evaluation budget (default 100)
 //   --backend <bo|random|grid>  suggestion backend (default bo)
 //   --journal <path>         durable ask/tell journal (JSON lines)
-//   --resume                 resume the session from --journal
+//   --resume                 resume the session from --journal, or tune's
+//                            searches from the journals in --checkpoint-dir
 
 #include <algorithm>
 #include <chrono>
@@ -108,10 +109,11 @@ int usage(const char* argv0) {
       "usage: %s <info|analyze|plan|tune|session|report|fsck|serve|remote-*> [options]\n"
       "apps:  synth:case1..case5 | tddft:cs1 | tddft:cs2 | minislater\n"
       "options: --cutoff F --max-dims N --variations N --importance-samples N\n"
-      "         --evals-per-param N --min-evals N --seed N --checkpoint-dir P --dot\n"
-      "         --session-scheduler (journaled ask/tell searches; with\n"
-      "           --checkpoint-dir each search writes a crash-proof journal\n"
-      "           that `report` aggregates)\n"
+      "         --evals-per-param N --min-evals N --seed N --dot\n"
+      "tune:    --checkpoint-dir P (each search writes a crash-proof journal\n"
+      "           that `report` aggregates) --resume (continue the searches\n"
+      "           journaled in P; without it a P holding search journals is\n"
+      "           refused)\n"
       "robust:  --repeats N (measurements per config, MAD-trimmed)\n"
       "         --eval-timeout S (watchdog deadline per measurement)\n"
       "         --eval-retries N (re-attempts after a transient crash)\n"
@@ -195,10 +197,6 @@ struct CliArgs {
   std::uint64_t seed = 42;
   std::string checkpoint_dir;
   bool dot = false;
-  /// Route searches through TuningSession + EvalScheduler (journaled
-  /// ask/tell); with --checkpoint-dir each search writes
-  /// search_<id>.journal.jsonl, which `report` aggregates.
-  bool session_scheduler = false;
   // hardened evaluation (applies to sensitivity and search evaluations)
   std::size_t repeats = 1;
   double eval_timeout = std::numeric_limits<double>::infinity();
@@ -208,7 +206,7 @@ struct CliArgs {
   std::size_t max_evals = 100;
   std::string backend = "bo";
   std::string journal;
-  bool resume = false;
+  bool resume = false;  // session --journal, or tune --checkpoint-dir
   // online structure learning (session + remote-create specs)
   bool structure_online = false;
   std::size_t structure_cadence = 20;
@@ -301,7 +299,6 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       else if (flag == "--seed") args.seed = std::stoull(next());
       else if (flag == "--checkpoint-dir") args.checkpoint_dir = next();
       else if (flag == "--dot") args.dot = true;
-      else if (flag == "--session-scheduler") args.session_scheduler = true;
       else if (flag == "--repeats") args.repeats = std::stoul(next());
       else if (flag == "--eval-timeout") args.eval_timeout = std::stod(next());
       else if (flag == "--eval-retries") args.eval_retries = std::stoul(next());
@@ -416,7 +413,6 @@ core::MethodologyOptions make_options(const CliArgs& args, const core::AppBundle
   opt.executor.min_evals = args.min_evals;
   opt.executor.bo.seed = args.seed;
   opt.executor.checkpoint_dir = args.checkpoint_dir;
-  opt.executor.session_scheduler = args.session_scheduler;
   opt.seed = args.seed;
   // One hardened-measurement policy for the whole pipeline: the sensitivity
   // analysis and every search evaluation measure under the same rules.
@@ -486,7 +482,25 @@ int cmd_plan(core::TunableApp& app, const core::MethodologyOptions& opt) {
   return 0;
 }
 
-int cmd_tune(core::TunableApp& app, const core::MethodologyOptions& opt) {
+// tune journals each search to <checkpoint dir>/search_<id>.journal.jsonl and
+// resumes a search whose journal exists. A journal header checks only the
+// space size, so resuming is opt-in: without --resume, a directory that
+// already holds search journals is refused rather than silently continuing
+// another campaign's searches.
+int cmd_tune(core::TunableApp& app, const core::MethodologyOptions& opt, bool resume) {
+  const std::string& dir = opt.executor.checkpoint_dir;
+  if (dir.empty()) {
+    if (resume) throw UsageError("--resume requires --checkpoint-dir for tune");
+  } else if (!resume && std::filesystem::is_directory(dir)) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.starts_with("search_") && name.ends_with(".journal.jsonl")) {
+        throw UsageError("'" + dir +
+                         "' already holds search journals; pass --resume to continue "
+                         "them, or use an empty --checkpoint-dir");
+      }
+    }
+  }
   core::Methodology m(opt);
   const auto result = m.run(app);
   std::cout << core::full_report(app, result);
@@ -1533,7 +1547,7 @@ int main(int argc, char** argv) {
       if (args.command == "info") rc = cmd_info(*bundle.app);
       else if (args.command == "analyze") rc = cmd_analyze(*bundle.app, opt, args.dot);
       else if (args.command == "plan") rc = cmd_plan(*bundle.app, opt);
-      else if (args.command == "tune") rc = cmd_tune(*bundle.app, opt);
+      else if (args.command == "tune") rc = cmd_tune(*bundle.app, opt, args.resume);
       else if (args.command == "session") rc = cmd_session(*bundle.app, args, tel);
       else {
         std::fprintf(stderr, "unknown command '%s'\n", args.command.c_str());
