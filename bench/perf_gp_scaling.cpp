@@ -61,7 +61,8 @@ void BM_GpHyperopt(benchmark::State& state) {
   for (auto _ : state) {
     bo::GaussianProcess gp;
     Rng rng(3);
-    gp.fit_with_hyperopt(data.x, data.y, rng, 1, 30);
+    const std::size_t evals = gp.fit_with_hyperopt(data.x, data.y, rng, 1, 30);
+    state.counters["lml_evals"] = static_cast<double>(evals);
     benchmark::DoNotOptimize(gp.log_marginal_likelihood());
   }
 }

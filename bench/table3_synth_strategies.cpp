@@ -15,21 +15,27 @@
 // or beats fully-independent on the interdependent cases (3, 4, 5) and ties
 // on cases 1-2; both split strategies are ~an order of magnitude cheaper
 // than the joint search.
+//
+// `--repeats N` (default 3) runs every case on seeds 1000 * case + 0..N-1
+// and prints each minima cell as its median [first quartile, third
+// quartile] over the repeats, each time cell as its median.
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "bo/bayes_opt.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "search/random_search.hpp"
+#include "stats/descriptive.hpp"
 #include "synth/synth_app.hpp"
 
 using namespace tunekit;
 
 namespace {
-
-constexpr std::size_t kRepeats = 3;
 
 bo::BoOptions bo_options(std::size_t evals, std::uint64_t seed) {
   bo::BoOptions opt;
@@ -47,6 +53,23 @@ bo::BoOptions bo_options(std::size_t evals, std::uint64_t seed) {
 struct StrategyResult {
   double minimum = 0.0;
   double seconds = 0.0;
+};
+
+/// One strategy's results on one case, across repeats.
+struct Cell {
+  std::vector<double> minima;
+  std::vector<double> seconds;
+
+  void add(const StrategyResult& r) {
+    minima.push_back(r.minimum);
+    seconds.push_back(r.seconds);
+  }
+  std::string minima_str() const {
+    return Table::fmt(stats::median(minima), 1) + " [" +
+           Table::fmt(stats::quantile(minima, 0.25), 1) + ", " +
+           Table::fmt(stats::quantile(minima, 0.75), 1) + "]";
+  }
+  std::string seconds_str() const { return Table::fmt(stats::median(seconds), 2); }
 };
 
 /// Sub-search over one or more groups: tunes those groups' variables
@@ -90,16 +113,27 @@ StrategyResult compose(synth::SynthApp& app,
 
 }  // namespace
 
-int main() {
-  std::cout << "=== Table III: minima found / search time (s), averaged over "
-            << kRepeats << " runs ===\n";
+int main(int argc, char** argv) {
+  std::size_t repeats = 3;
+  if (argc == 3 && std::strcmp(argv[1], "--repeats") == 0) {
+    repeats = std::strtoul(argv[2], nullptr, 10);
+  } else if (argc != 1) {
+    std::cerr << "usage: table3_synth_strategies [--repeats N]\n";
+    return 2;
+  }
+  if (repeats == 0) {
+    std::cerr << "--repeats needs at least 1\n";
+    return 2;
+  }
+  std::cout << "=== Table III: minima found (median [q1, q3]) / search time (s, median), "
+            << repeats << " runs ===\n";
   Table table({"Case", "Random minima", "Random t", "Joint BO minima", "Joint t",
                "G1,G2,G3+G4 minima", "G1,G2,G3+G4 t", "G1,G2,G3,G4 minima",
                "G1,G2,G3,G4 t", "Suggested"});
 
   for (int c = 1; c <= 5; ++c) {
-    StrategyResult random{}, joint{}, split{}, indep{};
-    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    Cell random, joint, split, indep;
+    for (std::size_t rep = 0; rep < repeats; ++rep) {
       const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(c) + rep;
       synth::SynthApp app(static_cast<synth::SynthCase>(c), 0.01, 12345);
 
@@ -111,8 +145,7 @@ int main() {
         opt.max_evals = 200;
         opt.seed = seed;
         const auto r = search::RandomSearch(opt).run(objective, app.space());
-        random.minimum += r.best_value;
-        random.seconds += r.seconds;
+        random.add({r.best_value, r.seconds});
       }
 
       // Fully joint 20-dim BO.
@@ -120,32 +153,20 @@ int main() {
         search::FunctionObjective objective(
             [&app](const search::Config& x) { return app.function().evaluate(x); });
         const auto r = bo::BayesOpt(bo_options(200, seed)).run(objective, app.space());
-        joint.minimum += r.best_value;
-        joint.seconds += r.seconds;
+        joint.add({r.best_value, r.seconds});
       }
 
       // Methodology split: G1, G2, G3+G4 (N = 50, 50, 100).
-      {
-        const auto r = compose(app, {{1}, {2}, {3, 4}}, {50, 50, 100}, seed);
-        split.minimum += r.minimum;
-        split.seconds += r.seconds;
-      }
+      split.add(compose(app, {{1}, {2}, {3, 4}}, {50, 50, 100}, seed));
 
       // Fully independent: G1..G4 (N = 50 each).
-      {
-        const auto r = compose(app, {{1}, {2}, {3}, {4}}, {50, 50, 50, 50}, seed);
-        indep.minimum += r.minimum;
-        indep.seconds += r.seconds;
-      }
+      indep.add(compose(app, {{1}, {2}, {3}, {4}}, {50, 50, 50, 50}, seed));
     }
 
-    const double n = static_cast<double>(kRepeats);
     const bool merged_suggested = c >= 3;  // methodology merges G3+G4 on cases 3-5
-    table.add_row({"Case " + std::to_string(c), Table::fmt(random.minimum / n, 1),
-                   Table::fmt(random.seconds / n, 2), Table::fmt(joint.minimum / n, 1),
-                   Table::fmt(joint.seconds / n, 2), Table::fmt(split.minimum / n, 1),
-                   Table::fmt(split.seconds / n, 2), Table::fmt(indep.minimum / n, 1),
-                   Table::fmt(indep.seconds / n, 2),
+    table.add_row({"Case " + std::to_string(c), random.minima_str(), random.seconds_str(),
+                   joint.minima_str(), joint.seconds_str(), split.minima_str(),
+                   split.seconds_str(), indep.minima_str(), indep.seconds_str(),
                    merged_suggested ? "G1,G2,G3+G4" : "G1,G2,G3,G4"});
     std::cout << "finished case " << c << "\n";
   }

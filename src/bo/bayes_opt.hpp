@@ -66,7 +66,9 @@ struct BoOptions {
   /// isotropic defaults.
   std::size_t hyperopt_every = 5;
   std::size_t hyperopt_restarts = 2;
-  /// Nelder-Mead iteration cap per hyperparameter optimization.
+  /// Iteration cap per restart of the hyperparameter search (projected
+  /// L-BFGS for the GP; Nelder-Mead for AdditiveGp). The GP search usually
+  /// stops well before it, on its gradient and decrease tolerances.
   std::size_t hyperopt_max_iters = 120;
 
   std::uint64_t seed = 1;

@@ -1,10 +1,12 @@
 #include "bo/gp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
-#include "bo/nelder_mead.hpp"
+#include "bo/lbfgs.hpp"
 #include "common/log.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/vecops.hpp"
@@ -21,6 +23,94 @@ void GaussianProcess::set_prior_mean(
   fitted_ = false;
 }
 
+namespace {
+
+// The hyperparameter search's log-space box and lengthscale prior.
+const double kLogLsLo = std::log(1e-2), kLogLsHi = std::log(1e2);
+const double kLogSvLo = std::log(1e-4), kLogSvHi = std::log(1e4);
+const double kLogNvLo = std::log(1e-8), kLogNvHi = std::log(1.0);
+const double kLogLsPriorMean = std::log(0.5);  // log l_k ~ N(kLogLsPriorMean, 1)
+// The score of a Gram that cannot be factored.
+constexpr double kFailed = 1e12;
+
+/// Cholesky factor of a Gram with the GP's jitter escalation: the quiet
+/// ladder (1e-10 → 1e-6) handles ordinary round-off; if the Gram is
+/// genuinely rank-deficient — duplicate configs with near-zero noise,
+/// exactly what a tuning session that retries crashed candidates produces —
+/// a second, wider ladder up to 1e-2 is tried, loudly, before the failure
+/// propagates (the hyperparameter search then scores the point at 1e12).
+linalg::Matrix factor_gram(const linalg::Matrix& gram, double* jitter) {
+  try {
+    return linalg::cholesky(gram, 1e-10, 1e-6, jitter);
+  } catch (const std::exception&) {
+    linalg::Matrix l = linalg::cholesky(gram, 1e-5, 1e-2, jitter);
+    log_warn("GP: Gram matrix rank-deficient; factored with escalated jitter ", *jitter,
+             " (duplicate training points with near-zero noise?)");
+    return l;
+  }
+}
+
+double lml_from_factor(const linalg::Matrix& chol, const std::vector<double>& y,
+                       const std::vector<double>& alpha) {
+  // LML = -1/2 y^T alpha - 1/2 log|K| - n/2 log 2π   (standardized y).
+  return -0.5 * linalg::dot(y, alpha) - 0.5 * linalg::log_det_from_cholesky(chol) -
+         0.5 * static_cast<double>(y.size()) * std::log(2.0 * std::numbers::pi);
+}
+
+GpHyperparams unpack(const std::vector<double>& theta, std::size_t d) {
+  GpHyperparams hp;
+  hp.signal_variance = std::exp(theta[0]);
+  hp.lengthscales.resize(d);
+  for (std::size_t i = 0; i < d; ++i) hp.lengthscales[i] = std::exp(theta[1 + i]);
+  hp.noise_variance = std::exp(theta[1 + d]);
+  return hp;
+}
+
+}  // namespace
+
+double gp_neg_log_posterior(PairwiseGram& kernel, const std::vector<double>& y,
+                            const std::vector<double>& theta, std::vector<double>& grad) {
+  const std::size_t n = kernel.rows();
+  const std::size_t d = kernel.dim();
+  if (y.size() != n || theta.size() != d + 2) {
+    throw std::invalid_argument("gp_neg_log_posterior: arity mismatch");
+  }
+  grad.assign(d + 2, 0.0);
+  const GpHyperparams hp = unpack(theta, d);
+  linalg::Matrix chol;
+  try {
+    double jitter = 0.0;
+    chol = factor_gram(kernel.gram(hp), &jitter);
+  } catch (const std::exception&) {
+    return kFailed;
+  }
+  const std::vector<double> alpha = linalg::solve_with_cholesky(chol, y);
+  double value = -lml_from_factor(chol, y, alpha);
+
+  // d(-LML)/dtheta_j = -1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta_j).
+  linalg::Matrix w = linalg::inverse_from_cholesky(chol);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* wi = w.row_ptr(i);
+    for (std::size_t j = 0; j < n; ++j) wi[j] = alpha[i] * alpha[j] - wi[j];
+  }
+  const std::vector<double> dk = kernel.gradient(w);
+  for (std::size_t j = 0; j < d + 2; ++j) grad[j] = -0.5 * dk[j];
+
+  for (std::size_t k = 0; k < d; ++k) {
+    const double z = theta[1 + k] - kLogLsPriorMean;
+    value += 0.5 * z * z;
+    grad[1 + k] += z;
+  }
+  const bool finite = std::isfinite(value) && std::all_of(grad.begin(), grad.end(), [](double g) {
+                        return std::isfinite(g);
+                      });
+  if (!finite || value >= kFailed) {
+    grad.assign(d + 2, 0.0);
+    return kFailed;
+  }
+  return value;
+}
+
 void GaussianProcess::fit(linalg::Matrix x, std::vector<double> y) {
   if (x.rows() != y.size() || x.rows() == 0) {
     throw std::invalid_argument("GaussianProcess::fit: bad training data");
@@ -30,13 +120,12 @@ void GaussianProcess::fit(linalg::Matrix x, std::vector<double> y) {
   if (hp_.lengthscales.size() != x_.cols()) {
     hp_ = GpHyperparams::isotropic(x_.cols());
   }
-  refit();
+  standardize();
+  factor();
 }
 
-void GaussianProcess::refit() {
+void GaussianProcess::standardize() {
   const std::size_t n = x_.rows();
-
-  // Residuals against the prior mean, then standardization.
   std::vector<double> resid(n);
   for (std::size_t i = 0; i < n; ++i) {
     resid[i] = y_raw_[i] - (prior_mean_ ? prior_mean_(x_.row(i)) : 0.0);
@@ -52,35 +141,19 @@ void GaussianProcess::refit() {
 
   y_std_.resize(n);
   for (std::size_t i = 0; i < n; ++i) y_std_[i] = (resid[i] - y_shift_) / y_scale_;
+}
 
-  const linalg::Matrix gram = kernel_gram(kind_, x_, hp_);
-  // Jitter escalation before the model is rejected: the quiet ladder
-  // (1e-10 → 1e-6) handles ordinary round-off; if the Gram is genuinely
-  // rank-deficient — duplicate configs with near-zero noise, exactly what a
-  // tuning session that retries crashed candidates produces — a second,
-  // wider ladder up to 1e-2 is tried, loudly, before the failure propagates
-  // (hyperopt then scores the region at 1e12 and moves on).
+void GaussianProcess::factor() {
   last_jitter_ = 0.0;
-  try {
-    chol_ = linalg::cholesky(gram, 1e-10, 1e-6, &last_jitter_);
-  } catch (const std::exception&) {
-    chol_ = linalg::cholesky(gram, 1e-5, 1e-2, &last_jitter_);
-    log_warn("GP: Gram matrix rank-deficient; factored with escalated jitter ",
-             last_jitter_, " (duplicate training points with near-zero noise?)");
-  }
+  chol_ = factor_gram(kernel_gram(kind_, x_, hp_), &last_jitter_);
   alpha_ = linalg::solve_with_cholesky(chol_, y_std_);
-
-  // LML = -1/2 y^T alpha - 1/2 log|K| - n/2 log 2π   (standardized y).
-  const double quad = linalg::dot(y_std_, alpha_);
-  const double logdet = linalg::log_det_from_cholesky(chol_);
-  lml_ = -0.5 * quad - 0.5 * logdet -
-         0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+  lml_ = lml_from_factor(chol_, y_std_, alpha_);
   fitted_ = true;
 }
 
-void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
-                                        tunekit::Rng& rng, std::size_t n_restarts,
-                                        std::size_t max_iters) {
+std::size_t GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
+                                               tunekit::Rng& rng, std::size_t n_restarts,
+                                               std::size_t max_iters) {
   if (x.rows() != y.size() || x.rows() == 0) {
     throw std::invalid_argument("GaussianProcess::fit_with_hyperopt: bad data");
   }
@@ -88,46 +161,25 @@ void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
   y_raw_ = std::move(y);
   const std::size_t d = x_.cols();
   if (hp_.lengthscales.size() != d) hp_ = GpHyperparams::isotropic(d);
+  standardize();  // once per search: the targets do not depend on theta
 
-  // theta = [log sv, log ls_0..d-1, log nv]
-  auto unpack = [d](const std::vector<double>& theta) {
-    GpHyperparams hp;
-    hp.signal_variance = std::exp(theta[0]);
-    hp.lengthscales.resize(d);
-    for (std::size_t i = 0; i < d; ++i) hp.lengthscales[i] = std::exp(theta[1 + i]);
-    hp.noise_variance = std::exp(theta[1 + d]);
-    return hp;
+  PairwiseGram kernel(kind_, x_);  // freed when the search ends
+  const ValueAndGradient objective = [&](const std::vector<double>& theta,
+                                         std::vector<double>& grad) {
+    return gp_neg_log_posterior(kernel, y_std_, theta, grad);
   };
-
-  auto neg_lml = [&](const std::vector<double>& theta) {
-    GpHyperparams saved = hp_;
-    hp_ = unpack(theta);
-    double value;
-    try {
-      refit();
-      value = -lml_;
-    } catch (const std::exception&) {
-      value = 1e12;  // non-PD Gram even with jitter: reject this region
-    }
-    hp_ = std::move(saved);
-    return value;
-  };
-
-  NelderMeadOptions nm;
-  nm.max_iters = max_iters;
-  nm.initial_step = 0.5;
-  const double kLogLsLo = std::log(1e-2), kLogLsHi = std::log(1e2);
-  const double kLogSvLo = std::log(1e-4), kLogSvHi = std::log(1e4);
-  const double kLogNvLo = std::log(1e-8), kLogNvHi = std::log(1.0);
-  nm.lower.assign(d + 2, kLogLsLo);
-  nm.upper.assign(d + 2, kLogLsHi);
-  nm.lower[0] = kLogSvLo;
-  nm.upper[0] = kLogSvHi;
-  nm.lower[d + 1] = kLogNvLo;
-  nm.upper[d + 1] = kLogNvHi;
+  LbfgsOptions opt;
+  opt.max_iters = max_iters;
+  opt.lower.assign(d + 2, kLogLsLo);
+  opt.upper.assign(d + 2, kLogLsHi);
+  opt.lower[0] = kLogSvLo;
+  opt.upper[0] = kLogSvHi;
+  opt.lower[d + 1] = kLogNvLo;
+  opt.upper[d + 1] = kLogNvHi;
 
   std::vector<double> best_theta;
   double best_value = std::numeric_limits<double>::infinity();
+  std::size_t evaluations = 0;
   for (std::size_t restart = 0; restart < std::max<std::size_t>(1, n_restarts);
        ++restart) {
     std::vector<double> theta0(d + 2);
@@ -143,34 +195,31 @@ void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
       }
       theta0[1 + d] = rng.uniform(std::log(1e-6), std::log(1e-2));
     }
-    const auto res = nelder_mead(neg_lml, std::move(theta0), nm);
+    const auto res = projected_lbfgs(objective, std::move(theta0), opt);
+    evaluations += res.evaluations;
     if (res.value < best_value) {
       best_value = res.value;
       best_theta = res.x;
     }
   }
 
-  if (!best_theta.empty() && best_value < 1e12) {
-    hp_ = unpack(best_theta);
+  if (!best_theta.empty() && best_value < kFailed) {
+    hp_ = unpack(best_theta, d);
   } else {
     log_warn("GP hyperopt failed to find a PD model; keeping previous hyperparameters");
   }
-  refit();
+  // Through kernel_gram, as fit() does, not the search's cached Gram (equal
+  // up to rounding): a session ask that reuses these values refits with
+  // fit() and must propose exactly what this searching ask proposes.
+  factor();
+  return evaluations;
 }
 
 GaussianProcess::LooDiagnostics GaussianProcess::leave_one_out() const {
   if (!fitted_) throw std::runtime_error("GaussianProcess::leave_one_out before fit");
   const std::size_t n = x_.rows();
 
-  // Diagonal of K^{-1} via column solves against the Cholesky factor.
-  std::vector<double> kinv_diag(n);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    e[i] = 1.0;
-    const auto col = linalg::solve_with_cholesky(chol_, e);
-    kinv_diag[i] = col[i];
-    e[i] = 0.0;
-  }
+  const linalg::Matrix kinv = linalg::inverse_from_cholesky(chol_);
 
   LooDiagnostics out;
   out.mean.resize(n);
@@ -181,7 +230,7 @@ GaussianProcess::LooDiagnostics GaussianProcess::leave_one_out() const {
   double log_density = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     // Standardized-unit LOO prediction (R&W eq. 5.12).
-    const double var_std = 1.0 / kinv_diag[i];
+    const double var_std = 1.0 / kinv(i, i);
     const double mean_std = y_std_[i] - alpha_[i] * var_std;
     const double prior = prior_mean_ ? prior_mean_(x_.row(i)) : 0.0;
     out.mean[i] = prior + y_shift_ + y_scale_ * mean_std;

@@ -38,10 +38,19 @@ class GaussianProcess {
   /// (defaults to isotropic if none were set for this dimension).
   void fit(linalg::Matrix x, std::vector<double> y);
 
-  /// Fit with hyperparameter optimization: multistart Nelder-Mead on the
-  /// negative log marginal likelihood over log-hyperparameters.
-  void fit_with_hyperopt(linalg::Matrix x, std::vector<double> y, tunekit::Rng& rng,
-                         std::size_t n_restarts = 3, std::size_t max_iters = 120);
+  /// Fit with a hyperparameter search: projected L-BFGS (bo/lbfgs.hpp) on
+  /// the negative log posterior gp_neg_log_posterior over theta = [log sv,
+  /// log lengthscales, log nv] in the box lengthscale [1e-2, 1e2], signal
+  /// variance [1e-4, 1e4], noise variance [1e-8, 1]. The fixed prior
+  /// log l_k ~ N(log 0.5, 1) on every lengthscale keeps a converged search
+  /// off the flat far-lengthscale plateau that small designs open up.
+  /// Restart 0 starts from the current hyperparameters (clamped into the
+  /// box), later ones from draws of `rng`; each runs at most `max_iters`
+  /// iterations. If no restart reaches a factorable Gram, the previous
+  /// hyperparameters are kept (with a warning). Returns the number of
+  /// objective-and-gradient evaluations made.
+  std::size_t fit_with_hyperopt(linalg::Matrix x, std::vector<double> y, tunekit::Rng& rng,
+                                std::size_t n_restarts = 3, std::size_t max_iters = 120);
 
   struct Prediction {
     double mean = 0.0;
@@ -51,11 +60,13 @@ class GaussianProcess {
 
   Prediction predict(const std::vector<double>& point) const;
 
-  /// Log marginal likelihood of the current fit (standardized targets).
+  /// Log marginal likelihood of the current fit (standardized targets);
+  /// the lengthscale prior of the search is not included.
   double log_marginal_likelihood() const { return lml_; }
 
   /// Leave-one-out cross-validation diagnostics (Rasmussen & Williams
-  /// §5.4.2), computed from the existing Cholesky factor without refitting.
+  /// §5.4.2), computed from the existing Cholesky factor (diag K^{-1} via
+  /// linalg::inverse_from_cholesky) without refitting.
   /// Use to judge whether the surrogate is trustworthy before relying on
   /// its suggestions.
   struct LooDiagnostics {
@@ -83,7 +94,10 @@ class GaussianProcess {
   double last_jitter() const { return last_jitter_; }
 
  private:
-  void refit();
+  /// Residuals against the prior mean, standardized into y_std_.
+  void standardize();
+  /// Gram, factor, alpha and LML at the current hyperparameters.
+  void factor();
 
   KernelKind kind_;
   GpHyperparams hp_;
@@ -101,5 +115,15 @@ class GaussianProcess {
   double last_jitter_ = 0.0;
   bool fitted_ = false;
 };
+
+/// The hyperparameter search's objective: -(LML + log prior) of standardized
+/// targets `y` on the training set of `kernel`, at theta = [log
+/// signal_variance, log lengthscale_0..d-1, log noise_variance], the prior
+/// being log l_k ~ N(log 0.5, 1) on every lengthscale (constants dropped).
+/// Writes the analytic gradient (Rasmussen & Williams eq. 5.9, with K^{-1}
+/// from the same factor) into `grad`. A Gram that cannot be factored even
+/// with jitter scores 1e12 with a zero gradient.
+double gp_neg_log_posterior(PairwiseGram& kernel, const std::vector<double>& y,
+                            const std::vector<double>& theta, std::vector<double>& grad);
 
 }  // namespace tunekit::bo

@@ -32,6 +32,41 @@ double kernel_value(KernelKind kind, const std::vector<double>& a,
 linalg::Matrix kernel_gram(KernelKind kind, const linalg::Matrix& x,
                            const GpHyperparams& hp);
 
+/// Gram matrices of one training set at varying hyperparameters, with their
+/// gradient: the view of the kernel a hyperparameter search needs. The
+/// per-dimension squared differences of every pair of rows are cached once
+/// (d n(n-1)/2 doubles: 0.6 MB at n = 125, d = 10; 29 MB at n = 600,
+/// d = 20), so a Gram costs a weighted sum and one kernel evaluation per
+/// pair, and its gradient reuses that evaluation.
+class PairwiseGram {
+ public:
+  PairwiseGram(KernelKind kind, const linalg::Matrix& x);
+
+  /// K(X, X) + noise_variance * I at `hp`: kernel_gram up to rounding.
+  /// Remembers each pair's k and slope dk/d(r2) for gradient().
+  linalg::Matrix gram(const GpHyperparams& hp);
+
+  /// Sum_ab W_ab dK_ab/dtheta_j at the hyperparameters of the last gram(),
+  /// for a symmetric n x n weight matrix W and theta = [log signal_variance,
+  /// log lengthscale_0..d-1, log noise_variance] (d + 2 entries). With
+  /// W = alpha alpha^T - K^{-1} this is twice the gradient of the log
+  /// marginal likelihood (Rasmussen & Williams eq. 5.9).
+  std::vector<double> gradient(const linalg::Matrix& weights) const;
+
+  std::size_t rows() const { return n_; }
+  std::size_t dim() const { return d_; }
+
+ private:
+  KernelKind kind_;
+  std::size_t n_;
+  std::size_t d_;
+  std::vector<double> sq_;  // pair-major: (x_ik - x_jk)^2 for i < j, then k
+  GpHyperparams hp_;
+  std::vector<double> value_;  // per pair, at hp_
+  std::vector<double> slope_;
+  bool has_gram_ = false;
+};
+
 /// Cross-covariance vector k(X, x*).
 std::vector<double> kernel_cross(KernelKind kind, const linalg::Matrix& x,
                                  const std::vector<double>& point,

@@ -1,8 +1,10 @@
 #pragma once
-// Nelder-Mead downhill simplex, used (a) to maximize acquisition functions
-// inside the unit cube and (b) to optimize GP hyperparameters against the
-// log marginal likelihood. Derivative-free on purpose: neither surface has
-// cheap exact gradients in our setting.
+// Nelder-Mead downhill simplex, used (a) to refine acquisition maxima
+// inside the unit cube and (b) to fit AdditiveGp's hyperparameters.
+// Derivative-free on purpose: neither surface has a cheap exact gradient
+// here. The full GP's log marginal likelihood does (one K^{-1} per
+// evaluation), so GaussianProcess::fit_with_hyperopt uses the projected
+// L-BFGS of bo/lbfgs.hpp instead.
 
 #include <functional>
 #include <vector>

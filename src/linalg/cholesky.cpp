@@ -89,6 +89,62 @@ std::vector<double> solve_with_cholesky(const Matrix& l, const std::vector<doubl
   return solve_lower_transpose(l, solve_lower(l, b));
 }
 
+Matrix inverse_from_cholesky(const Matrix& l) {
+  const std::size_t n = l.rows();
+  // V = L^{-1}, row by row: V(i,:) = (e_i - sum_{k<i} L(i,k) V(k,:)) / L(i,i).
+  // Row k of V is zero past column k, so four rows can be folded in per
+  // pass over a common prefix, cutting the loads and stores of row i.
+  Matrix v(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* vi = v.row_ptr(i);
+    const double* li = l.row_ptr(i);
+    vi[i] = 1.0;
+    std::size_t k = 0;
+    for (; k + 4 <= i; k += 4) {
+      const double* v0 = v.row_ptr(k);
+      const double* v1 = v.row_ptr(k + 1);
+      const double* v2 = v.row_ptr(k + 2);
+      const double* v3 = v.row_ptr(k + 3);
+      for (std::size_t j = 0; j <= k + 3; ++j) {
+        vi[j] -= li[k] * v0[j] + li[k + 1] * v1[j] + li[k + 2] * v2[j] + li[k + 3] * v3[j];
+      }
+    }
+    for (; k < i; ++k) {
+      const double* vk = v.row_ptr(k);
+      for (std::size_t j = 0; j <= k; ++j) vi[j] -= li[k] * vk[j];
+    }
+    const double inv = 1.0 / li[i];
+    for (std::size_t j = 0; j <= i; ++j) vi[j] *= inv;
+  }
+  // A^{-1} = V^T V, accumulated into the lower triangle by rank-four
+  // updates with rows of V (zero past their diagonal), then mirrored.
+  Matrix out(n, n);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const double* v0 = v.row_ptr(k);
+    const double* v1 = v.row_ptr(k + 1);
+    const double* v2 = v.row_ptr(k + 2);
+    const double* v3 = v.row_ptr(k + 3);
+    for (std::size_t i = 0; i <= k + 3; ++i) {
+      double* oi = out.row_ptr(i);
+      for (std::size_t j = 0; j <= i; ++j) {
+        oi[j] += v0[i] * v0[j] + v1[i] * v1[j] + v2[i] * v2[j] + v3[i] * v3[j];
+      }
+    }
+  }
+  for (; k < n; ++k) {
+    const double* vk = v.row_ptr(k);
+    for (std::size_t i = 0; i <= k; ++i) {
+      double* oi = out.row_ptr(i);
+      for (std::size_t j = 0; j <= i; ++j) oi[j] += vk[i] * vk[j];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) out(j, i) = out(i, j);
+  }
+  return out;
+}
+
 double log_det_from_cholesky(const Matrix& l) {
   double acc = 0.0;
   for (std::size_t i = 0; i < l.rows(); ++i) acc += std::log(l(i, i));

@@ -27,6 +27,11 @@ std::vector<double> solve_lower_transpose(const Matrix& l, const std::vector<dou
 /// Solve A x = b given the Cholesky factor L of A.
 std::vector<double> solve_with_cholesky(const Matrix& l, const std::vector<double>& b);
 
+/// A^{-1} (full and symmetric) from the Cholesky factor L of A, as
+/// L^{-T} L^{-1}; about twice the factorization's cost. The GP's likelihood
+/// gradient and its leave-one-out diagnostics read it.
+Matrix inverse_from_cholesky(const Matrix& l);
+
 /// log |A| from its Cholesky factor: 2 Σ log L_ii.
 double log_det_from_cholesky(const Matrix& l);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "search/random_search.hpp"
+#include "stats/descriptive.hpp"
 
 namespace tunekit::bo {
 namespace {
@@ -197,27 +198,33 @@ TEST(BayesOpt, SobolInitDiffersFromLhs) {
 
 TEST(BayesOpt, SurvivesCrashingObjective) {
   // The objective throws on part of the space (a crashing application);
-  // the search records failures and still finds the basin elsewhere.
+  // the search records failures and still finds the basin elsewhere. A
+  // quarter of the space crashes and the budget is 30, so single runs land
+  // on either side of 1.0: the basin claim is the median over 20 seeds.
   SearchSpace space = bowl_space();
   FunctionObjective obj([](const Config& c) -> double {
     if (c[0] > 2.5) throw std::runtime_error("segfault in kernel");
     const double d0 = c[0] - 1.0, d1 = c[1] - 1.0;
     return d0 * d0 + d1 * d1;
   });
-  BoOptions opt;
-  opt.max_evals = 30;
-  opt.seed = 6;
-  search::EvalDb db;
-  const auto result = BayesOpt(opt).run(obj, space, db);
-  EXPECT_EQ(db.size(), 30u);  // failures count toward the budget
-  EXPECT_LT(result.best_value, 1.0);
-  EXPECT_LE(result.best_config[0], 2.5);
-  // At least one crash was recorded as NaN (a quarter of the space throws).
-  std::size_t failures = 0;
-  for (const auto& e : db.all()) {
-    if (std::isnan(e.value)) ++failures;
+  std::vector<double> bests;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    BoOptions opt;
+    opt.max_evals = 30;
+    opt.seed = seed;
+    search::EvalDb db;
+    const auto result = BayesOpt(opt).run(obj, space, db);
+    EXPECT_EQ(db.size(), 30u) << "seed " << seed;  // failures count toward the budget
+    EXPECT_LE(result.best_config[0], 2.5) << "seed " << seed;
+    // At least one crash was recorded as NaN (a quarter of the space throws).
+    std::size_t failures = 0;
+    for (const auto& e : db.all()) {
+      if (std::isnan(e.value)) ++failures;
+    }
+    EXPECT_GE(failures, 1u) << "seed " << seed;
+    bests.push_back(result.best_value);
   }
-  EXPECT_GE(failures, 1u);
+  EXPECT_LT(stats::median(bests), 1.0);
 }
 
 TEST(BayesOpt, FailurePenaltySteersAwayFromCrashes) {

@@ -119,6 +119,25 @@ TEST(CholeskyLogDet, MatchesKnownDeterminant) {
   EXPECT_NEAR(log_det_from_cholesky(l), std::log(8.0), 1e-12);
 }
 
+TEST(Cholesky, InverseFromFactor) {
+  Rng rng(10);
+  for (std::size_t n : {1u, 3u, 4u, 6u, 9u, 30u}) {
+    const Matrix a = random_spd(n, rng);
+    const Matrix inv = inverse_from_cholesky(cholesky(a));
+    EXPECT_LT((a * inv).max_abs_diff(Matrix::identity(n)), 1e-10) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(inv(i, j), inv(j, i));
+    }
+    // Its diagonal is what the column solves gave.
+    std::vector<double> e(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      e[i] = 1.0;
+      EXPECT_NEAR(inv(i, i), solve_with_cholesky(cholesky(a), e)[i], 1e-12);
+      e[i] = 0.0;
+    }
+  }
+}
+
 TEST(CholeskyLogDet, IdentityIsZero) {
   const Matrix l = cholesky(Matrix::identity(5));
   EXPECT_NEAR(log_det_from_cholesky(l), 0.0, 1e-12);

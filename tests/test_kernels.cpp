@@ -56,6 +56,22 @@ TEST_P(KernelKinds, GramMatrixIsPsd) {
   }
 }
 
+TEST_P(KernelKinds, PairwiseGramMatchesKernelGram) {
+  tunekit::Rng rng(4);
+  linalg::Matrix x(9, 3);
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t k = 0; k < 3; ++k) x(i, k) = rng.uniform();
+  }
+  GpHyperparams hp;
+  hp.signal_variance = 1.7;
+  hp.lengthscales = {0.2, 0.9, 3.0};
+  hp.noise_variance = 1e-3;
+  PairwiseGram pairs(GetParam(), x);
+  EXPECT_THROW(pairs.gradient(linalg::Matrix(9, 9)), std::logic_error);
+  const auto cached = pairs.gram(hp);
+  EXPECT_LT(cached.max_abs_diff(kernel_gram(GetParam(), x, hp)), 1e-14);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
                          ::testing::Values(KernelKind::RBF, KernelKind::Matern32,
                                            KernelKind::Matern52),
