@@ -1,6 +1,7 @@
 // google-benchmark: the O(N^3) Gaussian-process training cost the paper
 // cites as the reason high-dimensional joint searches need disproportionate
-// budgets — plus the prediction cost that drives acquisition maximization.
+// budgets — plus the prediction cost that drives acquisition maximization,
+// one point at a time (the refine) and as a 512-point pool (the candidates).
 
 #include <benchmark/benchmark.h>
 
@@ -55,6 +56,26 @@ void BM_GpPredict(benchmark::State& state) {
   }
 }
 
+// The acquisition's candidate pool: 512 points scored in one call, as
+// maximize_acquisition does. Per point, compare with BM_GpPredict.
+void BM_GpPredictBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto data = make_dataset(n, 10);
+  bo::GaussianProcess gp;
+  gp.set_hyperparams(bo::GpHyperparams::isotropic(10, 0.3));
+  gp.fit(data.x, data.y);
+  constexpr std::size_t kPool = 512;
+  linalg::Matrix pool(kPool, 10);
+  Rng rng(5);
+  for (std::size_t c = 0; c < kPool; ++c) {
+    for (std::size_t k = 0; k < 10; ++k) pool(c, k) = rng.uniform();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gp.predict_batch(pool));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kPool));
+}
+
 void BM_GpHyperopt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto data = make_dataset(n, 5);
@@ -76,5 +97,6 @@ BENCHMARK(BM_GpFit)
     ->Args({200, 10})
     ->Args({200, 20})
     ->Complexity(benchmark::oNCubed);
-BENCHMARK(BM_GpPredict)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_GpPredict)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK(BM_GpPredictBatch)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 BENCHMARK(BM_GpHyperopt)->Arg(30)->Arg(60);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -55,15 +56,16 @@ std::vector<double> maximize_acquisition(
     return acquisition_score(kind, pred.mean, pred.stddev(), best_value, params);
   };
 
-  std::vector<double> best_point;
-  double best_score = -std::numeric_limits<double>::infinity();
-
   const std::size_t n_local =
       incumbent_unit.empty()
           ? 0
           : static_cast<std::size_t>(options.local_fraction *
                                      static_cast<double>(options.n_candidates));
 
+  // Draw the whole pool first, keeping the accepted candidates in draw
+  // order, then score them as one block.
+  linalg::Matrix pool(options.n_candidates, d);
+  std::size_t n_accepted = 0;
   std::vector<double> candidate(d);
   for (std::size_t c = 0; c < options.n_candidates; ++c) {
     if (c < n_local) {
@@ -75,10 +77,24 @@ std::vector<double> maximize_acquisition(
       for (std::size_t k = 0; k < d; ++k) candidate[k] = rng.uniform();
     }
     if (accept && !accept(candidate)) continue;
-    const double s = score_at(candidate);
+    std::copy(candidate.begin(), candidate.end(), pool.row_ptr(n_accepted++));
+  }
+  if (n_accepted < pool.rows()) {
+    linalg::Matrix kept(n_accepted, d);
+    std::copy(pool.data(), pool.data() + n_accepted * d, kept.data());
+    pool = std::move(kept);
+  }
+
+  // The first strictly best score wins; a NaN score never does.
+  std::vector<double> best_point;
+  double best_score = -std::numeric_limits<double>::infinity();
+  const auto preds = gp.predict_batch(pool);
+  for (std::size_t c = 0; c < preds.size(); ++c) {
+    const double s =
+        acquisition_score(kind, preds[c].mean, preds[c].stddev(), best_value, params);
     if (s > best_score) {
       best_score = s;
-      best_point = candidate;
+      best_point = pool.row(c);
     }
   }
 

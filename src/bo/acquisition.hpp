@@ -1,6 +1,9 @@
 #pragma once
 // Acquisition functions balancing exploration and exploitation
-// (paper §III-A), plus the candidate-set + local-refinement maximizer.
+// (paper §III-A), plus the candidate-set + local-refinement maximizer: a
+// pool of random and incumbent-local candidates scored as one block through
+// GaussianProcess::predict_batch, then a Nelder-Mead refine of the best one
+// that scores its points one at a time through predict().
 
 #include <functional>
 #include <vector>
@@ -45,8 +48,13 @@ struct AcquisitionMaximizerOptions {
 using UnitFilter = std::function<bool(const std::vector<double>&)>;
 
 /// Maximize the acquisition over the unit cube; `incumbent_unit` may be
-/// empty (no local candidates then). `accept` filters candidates; refined
-/// points failing `accept` fall back to the best accepted candidate.
+/// empty (no local candidates then). The n_candidates points are drawn first
+/// (the local ones, then the uniform ones), each passed to `accept` as it is
+/// drawn; the accepted ones are scored in draw order with one predict_batch,
+/// and the first strictly best score wins (a NaN score never does). When no
+/// candidate is accepted, rejection sampling returns the first accepted
+/// uniform draw. Otherwise the winner seeds the refine (per-point predict());
+/// a refined point failing `accept` falls back to the best candidate.
 /// Returns the chosen unit-cube point.
 std::vector<double> maximize_acquisition(
     const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,

@@ -74,6 +74,7 @@ bool fit_surrogate(Surrogate& surrogate, const TrainingSet& t, std::size_t dims,
     for (std::size_t k = 0; k < dims; ++k) x(i, k) = t.units[i][k];
   }
   try {
+    obs::ScopedSpan fit_span(options.telemetry, "gp.fit");
     Stopwatch fit_watch;
     surrogate.fit(std::move(x), t.values, search, rng);
     observe_seconds(options, obs::metric::kGpFitSeconds, fit_watch.seconds());
@@ -94,6 +95,7 @@ search::Config distinct_proposal(Surrogate& surrogate, const TrainingSet& t,
                                  const search::SearchSpace& space,
                                  const std::vector<search::Evaluation>& seen,
                                  tunekit::Rng& rng, const BoOptions& options) {
+  obs::ScopedSpan acq_span(options.telemetry, "acq.argmax");
   Stopwatch acq_watch;
   const UnitFilter accept = [&](const std::vector<double>& u) {
     return space.is_valid(space.decode_unit(u));

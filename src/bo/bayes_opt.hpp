@@ -99,8 +99,9 @@ struct BoOptions {
   /// toward the budget, so a crash-looping application still terminates.
   double failure_penalty = std::numeric_limits<double>::quiet_NaN();
 
-  /// Spans ("bo.iteration" → "eval"), evaluation counters, and GP-fit /
-  /// acquisition-argmax timing histograms (null = disabled, the default).
+  /// Spans ("bo.iteration" → "gp.fit", "acq.argmax", "eval"), evaluation
+  /// counters, and GP-fit / acquisition-argmax timing histograms (null =
+  /// disabled, the default).
   obs::Telemetry* telemetry = nullptr;
 };
 

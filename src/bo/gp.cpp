@@ -1,6 +1,7 @@
 #include "bo/gp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -32,6 +33,10 @@ const double kLogNvLo = std::log(1e-8), kLogNvHi = std::log(1.0);
 const double kLogLsPriorMean = std::log(0.5);  // log l_k ~ N(kLogLsPriorMean, 1)
 // The score of a Gram that cannot be factored.
 constexpr double kFailed = 1e12;
+// Points per predict_batch block: one column group of
+// linalg::solve_lower_batch, and an n x 32 workspace (29 KB at n = 115)
+// small enough to stay in L1/L2 through the solve.
+constexpr std::size_t kPredictBlock = 32;
 
 /// Cholesky factor of a Gram with the GP's jitter escalation: the quiet
 /// ladder (1e-10 → 1e-6) handles ordinary round-off; if the Gram is
@@ -258,8 +263,48 @@ GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& 
   const double mean_std = linalg::dot(k, alpha_);
   const std::vector<double> v = linalg::solve_lower(chol_, k);
   const double k_self = hp_.signal_variance + hp_.noise_variance;
-  const double var_std = std::max(0.0, k_self - linalg::dot(v, v));
+  return unstandardize(point, mean_std, std::max(0.0, k_self - linalg::dot(v, v)));
+}
 
+std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
+    const linalg::Matrix& points) const {
+  if (!fitted_) throw std::runtime_error("GaussianProcess::predict_batch before fit");
+  if (points.cols() != x_.cols()) {
+    throw std::invalid_argument("GaussianProcess::predict_batch: dimension mismatch");
+  }
+  const std::size_t n = x_.rows();
+  const std::size_t d = x_.cols();
+  const double k_self = hp_.signal_variance + hp_.noise_variance;
+  std::vector<Prediction> out;
+  out.reserve(points.rows());
+  for (std::size_t first = 0; first < points.rows(); first += kPredictBlock) {
+    const std::size_t m = std::min(kPredictBlock, points.rows() - first);
+    linalg::Matrix block(m, d);
+    std::copy(points.row_ptr(first), points.row_ptr(first) + m * d, block.data());
+    // Row i holds k(x_i, .) for the block's m points; the solve turns it
+    // into row i of V = L^{-1} K. Each lane sums in predict()'s order.
+    linalg::Matrix kv = kernel_cross_batch(kind_, x_, block, hp_);
+    std::array<double, kPredictBlock> mean_std{};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* ki = kv.row_ptr(i);
+      for (std::size_t c = 0; c < m; ++c) mean_std[c] += ki[c] * alpha_[i];
+    }
+    linalg::solve_lower_batch(chol_, kv);
+    std::array<double, kPredictBlock> vv{};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* vi = kv.row_ptr(i);
+      for (std::size_t c = 0; c < m; ++c) vv[c] += vi[c] * vi[c];
+    }
+    for (std::size_t c = 0; c < m; ++c) {
+      out.push_back(unstandardize(block.row(c), mean_std[c], std::max(0.0, k_self - vv[c])));
+    }
+  }
+  return out;
+}
+
+GaussianProcess::Prediction GaussianProcess::unstandardize(const std::vector<double>& point,
+                                                           double mean_std,
+                                                           double var_std) const {
   Prediction p;
   const double prior = prior_mean_ ? prior_mean_(point) : 0.0;
   p.mean = prior + y_shift_ + y_scale_ * mean_std;

@@ -60,6 +60,18 @@ class GaussianProcess {
 
   Prediction predict(const std::vector<double>& point) const;
 
+  /// predict() for every row of `points` (one point per row), entry c being
+  /// bit-identical to predict(points.row(c)): per point the same mean sum
+  /// k . alpha (ascending training index), the same forward substitution
+  /// L v = k and variance max(0, k** - v . v), and one prior-mean call. The
+  /// rows are scored in blocks of 32: one cross-kernel matrix
+  /// (kernel_cross_batch) and one multi-RHS solve (linalg::solve_lower_batch)
+  /// per block, where predict() runs one latency-bound substitution per
+  /// point. For scoring a candidate pool; a single point is cheaper through
+  /// predict(). Throws as predict() does (before fit(), on a column count
+  /// other than dim()); zero rows give an empty result.
+  std::vector<Prediction> predict_batch(const linalg::Matrix& points) const;
+
   /// Log marginal likelihood of the current fit (standardized targets);
   /// the lengthscale prior of the search is not included.
   double log_marginal_likelihood() const { return lml_; }
@@ -98,6 +110,10 @@ class GaussianProcess {
   void standardize();
   /// Gram, factor, alpha and LML at the current hyperparameters.
   void factor();
+  /// The prediction in raw target units from its standardized mean and
+  /// variance at `point` (adds the prior mean, if any).
+  Prediction unstandardize(const std::vector<double>& point, double mean_std,
+                           double var_std) const;
 
   KernelKind kind_;
   GpHyperparams hp_;

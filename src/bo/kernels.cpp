@@ -185,4 +185,20 @@ std::vector<double> kernel_cross(KernelKind kind, const linalg::Matrix& x,
   return out;
 }
 
+linalg::Matrix kernel_cross_batch(KernelKind kind, const linalg::Matrix& x,
+                                  const linalg::Matrix& points, const GpHyperparams& hp) {
+  if (hp.lengthscales.size() != x.cols() || points.cols() != x.cols()) {
+    throw std::invalid_argument("kernel_cross_batch: arity mismatch");
+  }
+  linalg::Matrix out(x.rows(), points.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double* xi = x.row_ptr(i);
+    double* oi = out.row_ptr(i);
+    for (std::size_t c = 0; c < points.rows(); ++c) {
+      oi[c] = kernel_of_rows(kind, xi, points.row_ptr(c), hp);
+    }
+  }
+  return out;
+}
+
 }  // namespace tunekit::bo

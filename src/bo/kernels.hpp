@@ -72,4 +72,11 @@ std::vector<double> kernel_cross(KernelKind kind, const linalg::Matrix& x,
                                  const std::vector<double>& point,
                                  const GpHyperparams& hp);
 
+/// Cross-covariance matrix K(X, P): x.rows() x points.rows(), column c being
+/// kernel_cross(kind, x, points.row(c), hp) bit for bit (the same kernel
+/// evaluation per pair). Laid out for GaussianProcess::predict_batch, which
+/// sweeps each training row across a block of candidates.
+linalg::Matrix kernel_cross_batch(KernelKind kind, const linalg::Matrix& x,
+                                  const linalg::Matrix& points, const GpHyperparams& hp);
+
 }  // namespace tunekit::bo

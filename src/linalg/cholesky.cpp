@@ -9,6 +9,18 @@ namespace tunekit::linalg {
 
 namespace {
 
+/// Columns solve_lower_batch updates per group.
+constexpr std::size_t kColumnGroup = 32;
+
+/// y[0, kColumnGroup) -= s * x[0, kColumnGroup): one column group of a
+/// solve_lower_batch row update. The fixed trip count and restrict-qualified
+/// rows (row k < i never overlaps row i) let the compiler emit it as vector
+/// code at -O2 as well as -O3; the same loop written inline over the runtime
+/// column count stayed scalar at -O2 and ran about half as fast at -O3.
+void subtract_scaled_group(double* __restrict y, const double* __restrict x, double s) {
+  for (std::size_t q = 0; q < kColumnGroup; ++q) y[q] -= s * x[q];
+}
+
 /// Attempt a plain Cholesky; returns false if a non-positive pivot appears.
 bool try_cholesky(const Matrix& a, Matrix& l) {
   const std::size_t n = a.rows();
@@ -71,6 +83,24 @@ std::vector<double> solve_lower(const Matrix& l, const std::vector<double>& b) {
     y[i] = s / row[i];
   }
   return y;
+}
+
+void solve_lower_batch(const Matrix& l, Matrix& b) {
+  const std::size_t n = l.rows();
+  if (b.rows() != n) throw std::invalid_argument("solve_lower_batch: size mismatch");
+  const std::size_t m = b.cols();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* yi = b.row_ptr(i);
+    const double* row = l.row_ptr(i);
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = row[k];
+      const double* yk = b.row_ptr(k);
+      std::size_t j = 0;
+      for (; j + kColumnGroup <= m; j += kColumnGroup) subtract_scaled_group(yi + j, yk + j, lik);
+      for (; j < m; ++j) yi[j] -= lik * yk[j];
+    }
+    for (std::size_t j = 0; j < m; ++j) yi[j] /= row[i];
+  }
 }
 
 std::vector<double> solve_lower_transpose(const Matrix& l, const std::vector<double>& y) {

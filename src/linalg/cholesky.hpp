@@ -21,6 +21,14 @@ Matrix cholesky(const Matrix& a, double initial_jitter = 1e-10,
 /// Solve L y = b for lower-triangular L.
 std::vector<double> solve_lower(const Matrix& l, const std::vector<double>& b);
 
+/// Solve L Y = B in place for an n x m B holding one right-hand side per
+/// column (B <- L^{-1} B). Each row update sweeps all m columns, in groups
+/// of 32 (m a multiple of 32 is fastest), so the m substitutions run side by
+/// side as vector code instead of as m latency-bound chains. Column j comes
+/// out bit-identical to solve_lower(l, column j): the same subtractions in
+/// the same (ascending) order, then the same division.
+void solve_lower_batch(const Matrix& l, Matrix& b);
+
 /// Solve L^T x = y for lower-triangular L.
 std::vector<double> solve_lower_transpose(const Matrix& l, const std::vector<double>& y);
 

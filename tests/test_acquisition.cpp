@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "bo/nelder_mead.hpp"
 
 namespace tunekit::bo {
 namespace {
@@ -142,6 +149,119 @@ TEST_F(MaximizerFixture, UnfittedGpThrows) {
   EXPECT_THROW(maximize_acquisition(unfitted, AcquisitionKind::ExpectedImprovement, {},
                                     0.0, {}, rng, {}, nullptr),
                std::runtime_error);
+}
+
+/// The maximizer as it was before the pool was scored as one block: one
+/// predict() per accepted candidate, interleaved with the draws. Kept as the
+/// reference maximize_acquisition must reproduce bit for bit.
+std::vector<double> per_candidate_maximize(
+    const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,
+    double best_value, const std::vector<double>& incumbent_unit, tunekit::Rng& rng,
+    const AcquisitionMaximizerOptions& options, const UnitFilter& accept) {
+  const std::size_t d = gp.dim();
+  auto score_at = [&](const std::vector<double>& u) {
+    const auto pred = gp.predict(u);
+    return acquisition_score(kind, pred.mean, pred.stddev(), best_value, params);
+  };
+  std::vector<double> best_point;
+  double best_score = -std::numeric_limits<double>::infinity();
+  const std::size_t n_local =
+      incumbent_unit.empty()
+          ? 0
+          : static_cast<std::size_t>(options.local_fraction *
+                                     static_cast<double>(options.n_candidates));
+  std::vector<double> candidate(d);
+  for (std::size_t c = 0; c < options.n_candidates; ++c) {
+    if (c < n_local) {
+      for (std::size_t k = 0; k < d; ++k) {
+        candidate[k] =
+            std::clamp(incumbent_unit[k] + rng.normal(0.0, options.local_sigma), 0.0, 1.0);
+      }
+    } else {
+      for (std::size_t k = 0; k < d; ++k) candidate[k] = rng.uniform();
+    }
+    if (accept && !accept(candidate)) continue;
+    const double s = score_at(candidate);
+    if (s > best_score) {
+      best_score = s;
+      best_point = candidate;
+    }
+  }
+  if (best_point.empty()) {
+    for (std::size_t tries = 0; tries < 50000; ++tries) {
+      for (std::size_t k = 0; k < d; ++k) candidate[k] = rng.uniform();
+      if (!accept || accept(candidate)) return candidate;
+    }
+    throw std::runtime_error("per_candidate_maximize: no accepted candidate");
+  }
+  if (options.refine_iters > 0) {
+    NelderMeadOptions nm;
+    nm.max_iters = options.refine_iters;
+    nm.initial_step = 0.05;
+    nm.lower.assign(d, 0.0);
+    nm.upper.assign(d, 1.0);
+    const auto res = nelder_mead([&](const std::vector<double>& u) { return -score_at(u); },
+                                 best_point, nm);
+    if (-res.value > best_score && (!accept || accept(res.x))) best_point = res.x;
+  }
+  return best_point;
+}
+
+TEST(MaximizeAcquisition, MatchesPerCandidateReference) {
+  constexpr std::size_t d = 10;
+  constexpr std::size_t n = 40;
+  tunekit::Rng data_rng(31);
+  linalg::Matrix x(n, d);
+  std::vector<double> y(n);
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      x(i, k) = data_rng.uniform();
+      acc += (x(i, k) - 0.3) * (x(i, k) - 0.3) * static_cast<double>(k + 1);
+    }
+    y[i] = acc;
+    if (y[i] < y[best]) best = i;
+  }
+  GaussianProcess gp(KernelKind::Matern52);
+  GpHyperparams hp = GpHyperparams::isotropic(d, 0.6, 1.2, 1e-5);
+  hp.lengthscales[3] = 0.25;
+  gp.set_hyperparams(hp);
+  gp.fit(x, y);
+
+  const UnitFilter half = [](const std::vector<double>& u) { return u[0] + u[1] < 1.0; };
+  std::uint64_t seed = 100;
+  for (AcquisitionKind kind :
+       {AcquisitionKind::ExpectedImprovement, AcquisitionKind::ProbabilityOfImprovement,
+        AcquisitionKind::LowerConfidenceBound}) {
+    for (const UnitFilter& accept : {UnitFilter{}, half}) {
+      for (std::size_t candidates : {1u, 33u, 512u}) {
+        for (std::size_t refine : {0u, 40u}) {
+          AcquisitionMaximizerOptions opt;
+          opt.n_candidates = candidates;
+          opt.refine_iters = refine;
+          tunekit::Rng expected_rng(++seed);
+          tunekit::Rng rng(seed);
+          const auto expected = per_candidate_maximize(gp, kind, {}, y[best], x.row(best),
+                                                       expected_rng, opt, accept);
+          const auto chosen =
+              maximize_acquisition(gp, kind, {}, y[best], x.row(best), rng, opt, accept);
+          const std::string where = std::string(to_string(kind)) +
+                                    (accept ? " filtered" : " unfiltered") +
+                                    " n_candidates=" + std::to_string(candidates) +
+                                    " refine=" + std::to_string(refine);
+          ASSERT_EQ(chosen.size(), d) << where;
+          for (std::size_t k = 0; k < d; ++k) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(chosen[k]),
+                      std::bit_cast<std::uint64_t>(expected[k]))
+                << where << " coordinate " << k;
+          }
+          EXPECT_TRUE(rng.engine() == expected_rng.engine()) << where;
+          EXPECT_EQ(rng.uniform(), expected_rng.uniform()) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
 
+#include "obs/telemetry.hpp"
 #include "search/random_search.hpp"
 #include "stats/descriptive.hpp"
 
@@ -264,6 +268,28 @@ TEST(BayesOpt, InitialDesignRespectsBudget) {
   opt.n_init = 10;  // larger than the budget
   const auto result = BayesOpt(opt).run(obj, bowl_space());
   EXPECT_EQ(result.evaluations, 3u);
+}
+
+TEST(BayesOpt, TracesFitArgmaxAndEvalUnderEveryIteration) {
+  obs::Telemetry telemetry;
+  telemetry.enable();
+  auto obj = bowl();
+  BoOptions opt;
+  opt.max_evals = 14;
+  opt.n_init = 5;
+  opt.seed = 3;
+  opt.telemetry = &telemetry;
+  BayesOpt(opt).run(obj, bowl_space());
+
+  std::vector<obs::SpanId> iterations;
+  std::map<obs::SpanId, std::multiset<std::string>> children;
+  for (const auto& span : telemetry.spans()) {
+    if (span.name == "bo.iteration") iterations.push_back(span.id);
+    children[span.parent].insert(span.name);
+  }
+  ASSERT_EQ(iterations.size(), opt.max_evals - opt.n_init);
+  const std::multiset<std::string> decision{"gp.fit", "acq.argmax", "eval"};
+  for (obs::SpanId id : iterations) EXPECT_EQ(children[id], decision);
 }
 
 }  // namespace

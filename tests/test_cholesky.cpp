@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "linalg/vecops.hpp"
@@ -105,6 +107,31 @@ TEST(CholeskySolve, TriangularSolvesInverse) {
   const auto x = solve_lower_transpose(l, y);
   const auto y2 = l.transposed().mul(x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(y2[i], y[i], 1e-10);
+}
+
+TEST(Cholesky, SolveLowerBatchMatchesSolveLowerPerColumn) {
+  Rng rng(11);
+  for (std::size_t n : {1u, 17u, 110u}) {
+    const Matrix l = cholesky(random_spd(n, rng));
+    for (std::size_t m : {1u, 3u, 32u, 33u, 65u}) {
+      Matrix b(n, m);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < m; ++j) b(i, j) = rng.uniform(-1.0, 1.0);
+      }
+      Matrix y = b;
+      solve_lower_batch(l, y);
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::vector<double> expected = solve_lower(l, b.col(j));
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(y(i, j)),
+                    std::bit_cast<std::uint64_t>(expected[i]))
+              << "n=" << n << " m=" << m << " row " << i << " column " << j;
+        }
+      }
+    }
+  }
+  Matrix wrong(2, 4);
+  EXPECT_THROW(solve_lower_batch(cholesky(Matrix::identity(3)), wrong), std::invalid_argument);
 }
 
 TEST(CholeskySolve, SizeMismatchThrows) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 
@@ -178,6 +180,68 @@ TEST(GaussianProcess, RankDeficientGramFitsViaJitterEscalation) {
   clean.set_hyperparams(GpHyperparams::isotropic(1, 0.3, 1.0, 1e-4));
   clean.fit(grid_1d(6), std::vector<double>{0., 1., 2., 3., 4., 5.});
   EXPECT_EQ(clean.last_jitter(), 0.0);
+}
+
+class GpPredictBatch : public ::testing::TestWithParam<KernelKind> {};
+
+// predict_batch must reproduce predict() bit for bit, in every block shape
+// (m below, at and above the 32-point block) and with or without a prior
+// mean; some query rows are training rows, where the variance is smallest.
+TEST_P(GpPredictBatch, MatchesPredictPerRow) {
+  constexpr std::size_t d = 6;
+  tunekit::Rng rng(21);
+  for (std::size_t n : {1u, 7u, 110u}) {
+    linalg::Matrix x(n, d);
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < d; ++k) x(i, k) = rng.uniform();
+      y[i] = std::sin(4.0 * x(i, 0)) + x(i, 1) * x(i, 2) + 0.01 * rng.normal();
+    }
+    for (bool prior : {false, true}) {
+      GaussianProcess gp(GetParam());
+      if (prior) {
+        gp.set_prior_mean([](const std::vector<double>& u) { return 2.0 * u[0] - u[1] * u[3]; });
+      }
+      GpHyperparams hp;
+      hp.signal_variance = 1.4;
+      hp.lengthscales = {0.2, 0.35, 0.5, 0.8, 1.5, 3.0};
+      hp.noise_variance = 1e-5;
+      gp.set_hyperparams(hp);
+      gp.fit(x, y);
+      for (std::size_t m : {0u, 1u, 31u, 32u, 33u, 512u}) {
+        linalg::Matrix points(m, d);
+        for (std::size_t c = 0; c < m; ++c) {
+          for (std::size_t k = 0; k < d; ++k) {
+            points(c, k) = c % 5 == 0 ? x(c % n, k) : rng.uniform();
+          }
+        }
+        const auto batch = gp.predict_batch(points);
+        ASSERT_EQ(batch.size(), m);
+        for (std::size_t c = 0; c < m; ++c) {
+          const auto single = gp.predict(points.row(c));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[c].mean),
+                    std::bit_cast<std::uint64_t>(single.mean))
+              << "n=" << n << " prior=" << prior << " m=" << m << " point " << c;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[c].variance),
+                    std::bit_cast<std::uint64_t>(single.variance))
+              << "n=" << n << " prior=" << prior << " m=" << m << " point " << c;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, GpPredictBatch,
+                         ::testing::Values(KernelKind::RBF, KernelKind::Matern32,
+                                           KernelKind::Matern52),
+                         [](const auto& info) { return to_string(info.param); });
+
+TEST(GaussianProcess, PredictBatchThrowsLikePredict) {
+  GaussianProcess gp;
+  EXPECT_THROW(gp.predict_batch(linalg::Matrix(2, 1)), std::runtime_error);
+  gp.fit(grid_1d(3), {1.0, 2.0, 3.0});
+  EXPECT_THROW(gp.predict_batch(linalg::Matrix(2, 2)), std::invalid_argument);
+  EXPECT_TRUE(gp.predict_batch(linalg::Matrix(0, 1)).empty());
 }
 
 }  // namespace

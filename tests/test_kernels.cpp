@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
@@ -70,6 +72,34 @@ TEST_P(KernelKinds, PairwiseGramMatchesKernelGram) {
   EXPECT_THROW(pairs.gradient(linalg::Matrix(9, 9)), std::logic_error);
   const auto cached = pairs.gram(hp);
   EXPECT_LT(cached.max_abs_diff(kernel_gram(GetParam(), x, hp)), 1e-14);
+}
+
+TEST_P(KernelKinds, CrossBatchMatchesPointwise) {
+  tunekit::Rng rng(5);
+  linalg::Matrix x(13, 4);
+  linalg::Matrix points(37, 4);
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t i = 0; i < x.rows(); ++i) x(i, k) = rng.uniform();
+    for (std::size_t c = 0; c < points.rows(); ++c) points(c, k) = rng.uniform();
+  }
+  for (std::size_t k = 0; k < 4; ++k) points(5, k) = x(2, k);  // r2 = 0
+  GpHyperparams hp;
+  hp.signal_variance = 1.3;
+  hp.lengthscales = {0.15, 0.6, 2.0, 0.4};
+  hp.noise_variance = 1e-4;
+  const linalg::Matrix cross = kernel_cross_batch(GetParam(), x, points, hp);
+  ASSERT_EQ(cross.rows(), x.rows());
+  ASSERT_EQ(cross.cols(), points.rows());
+  for (std::size_t c = 0; c < points.rows(); ++c) {
+    const std::vector<double> k = kernel_cross(GetParam(), x, points.row(c), hp);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cross(i, c)), std::bit_cast<std::uint64_t>(k[i]))
+          << "row " << i << " point " << c;
+    }
+  }
+  EXPECT_EQ(kernel_cross_batch(GetParam(), x, linalg::Matrix(0, 4), hp).cols(), 0u);
+  EXPECT_THROW(kernel_cross_batch(GetParam(), x, linalg::Matrix(2, 3), hp),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
