@@ -46,12 +46,4 @@ std::vector<std::vector<std::size_t>> UnionFind::groups() {
   return out;
 }
 
-std::vector<std::vector<std::size_t>> merge_routines(const InfluenceGraph& pruned) {
-  UnionFind uf(pruned.n_routines());
-  for (const auto& e : pruned.cross_edges()) {
-    uf.unite(e.from_routine, e.to_routine);
-  }
-  return uf.groups();
-}
-
 }  // namespace tunekit::graph

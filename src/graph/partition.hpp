@@ -1,13 +1,11 @@
 #pragma once
-// Union-find and the routine-partition step: routines connected by
-// above-cutoff cross influences are merged into one joint search group
+// Union-find: the merge step behind graph::build_plan's routine groups
 // (paper §IV-D, "routines that are linked to others by external parameters
-// must be explored together").
+// must be explored together"), the orthogonality groups and the online
+// structure learner's coordinate cut.
 
 #include <cstddef>
 #include <vector>
-
-#include "graph/influence_graph.hpp"
 
 namespace tunekit::graph {
 
@@ -30,10 +28,5 @@ class UnionFind {
   std::vector<std::size_t> rank_;
   std::size_t n_sets_;
 };
-
-/// Merge routines along the cross edges of an (already pruned) influence
-/// graph. Each returned group is a set of routine indices to be tuned
-/// jointly; singleton groups stay independent.
-std::vector<std::vector<std::size_t>> merge_routines(const InfluenceGraph& pruned);
 
 }  // namespace tunekit::graph

@@ -125,11 +125,6 @@ std::string span_id_hex(SpanId id) {
   return out;
 }
 
-Telemetry& Telemetry::noop() {
-  static Telemetry instance;
-  return instance;
-}
-
 void Telemetry::enable(std::size_t max_spans) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) {

@@ -112,9 +112,6 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Shared always-disabled instance for call sites that want a reference.
-  static Telemetry& noop();
-
   void enable(std::size_t max_spans = 1 << 20);
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 

@@ -145,11 +145,4 @@ Measurement RobustMeasurer::measure_regions(search::RegionObjective& objective,
   return combine(std::move(evals));
 }
 
-double HardenedObjective::evaluate(const search::Config& config) {
-  const Measurement m = measurer_.measure(inner_, config);
-  if (m.outcome == EvalOutcome::Ok) return m.value;
-  throw EvalFailure(m.outcome,
-                    m.error.empty() ? std::string(to_string(m.outcome)) : m.error);
-}
-
 }  // namespace tunekit::robust

@@ -86,25 +86,4 @@ class RobustMeasurer {
   MeasureOptions options_;
 };
 
-/// Objective decorator that turns every evaluate() into a robust measurement.
-/// Failures re-throw as EvalFailure so drivers that only understand
-/// exceptions (BayesOpt, GridSearch callers) still learn the classified
-/// outcome. This is how the blocking search paths get watchdog + repeat
-/// semantics without changing their loops.
-class HardenedObjective final : public search::Objective {
- public:
-  HardenedObjective(search::Objective& inner, MeasureOptions options)
-      : inner_(inner), measurer_(options) {}
-
-  double evaluate(const search::Config& config) override;
-  bool thread_safe() const override { return inner_.thread_safe(); }
-
-  /// The last measurement's dispersion is not exposed per call (evaluate()
-  /// is value-only); use RobustMeasurer directly when dispersion matters.
-
- private:
-  search::Objective& inner_;
-  RobustMeasurer measurer_;
-};
-
 }  // namespace tunekit::robust

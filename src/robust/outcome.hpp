@@ -38,10 +38,10 @@ bool is_failure(EvalOutcome outcome);
 /// objective return value with no further context.
 EvalOutcome classify_value(double value);
 
-/// Exception that carries a classified failure out of a hardened objective
-/// (e.g. robust::HardenedObjective) into a driver that only understands
-/// exceptions, so the driver can record the precise outcome instead of a
-/// generic crash.
+/// Exception that carries a classified failure out of an objective (thrown by
+/// the WorkerPool-backed sandboxed objectives and by FaultyObjective) into a
+/// driver that only understands exceptions, so the driver can record the
+/// precise outcome instead of a generic crash.
 class EvalFailure : public std::runtime_error {
  public:
   EvalFailure(EvalOutcome outcome, const std::string& what)

@@ -76,25 +76,6 @@ std::vector<Evaluation> EvalDb::best_k(std::size_t k) const {
   return sorted;
 }
 
-std::vector<double> EvalDb::best_trajectory() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<double> out;
-  out.reserve(evals_.size());
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& e : evals_) {
-    if (std::isfinite(e.value) && e.value < best) best = e.value;
-    out.push_back(best);
-  }
-  return out;
-}
-
-std::map<robust::EvalOutcome, std::size_t> EvalDb::outcome_counts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<robust::EvalOutcome, std::size_t> counts;
-  for (const auto& e : evals_) ++counts[e.outcome];
-  return counts;
-}
-
 void EvalDb::save(const std::string& path, common::Io* io) const {
   json::Array entries;
   {
@@ -127,6 +108,16 @@ void EvalDb::save(const std::string& path, common::Io* io) const {
 }
 
 EvalDb EvalDb::load(const std::string& path, const SearchSpace& space) {
+  EvalDb db = load(path);
+  for (const auto& e : db.evals_) {
+    if (e.config.size() != space.size()) {
+      throw std::runtime_error("EvalDb::load: config arity mismatch in " + path);
+    }
+  }
+  return db;
+}
+
+EvalDb EvalDb::load(const std::string& path) {
   const json::Value root = json::load(path);
   if (!root.contains("format") || root.at("format").as_string() != "tunekit-evaldb-v1") {
     throw std::runtime_error("EvalDb::load: unrecognized checkpoint format in " + path);
@@ -134,9 +125,6 @@ EvalDb EvalDb::load(const std::string& path, const SearchSpace& space) {
   EvalDb db;
   for (const auto& entry : root.at("evaluations").as_array()) {
     const auto& cfg_json = entry.at("config").as_array();
-    if (cfg_json.size() != space.size()) {
-      throw std::runtime_error("EvalDb::load: config arity mismatch in " + path);
-    }
     Config cfg(cfg_json.size());
     for (std::size_t i = 0; i < cfg_json.size(); ++i) {
       cfg[i] = cfg_json[i].is_null() ? std::numeric_limits<double>::quiet_NaN()

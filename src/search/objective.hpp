@@ -101,25 +101,6 @@ class FunctionObjective final : public Objective {
   bool thread_safe_;
 };
 
-/// Decorator counting evaluations (not thread-safe counting unless the
-/// wrapped objective is; the counter itself is plain — wrap usage
-/// accordingly in parallel drivers).
-class CountingObjective final : public Objective {
- public:
-  explicit CountingObjective(Objective& inner) : inner_(inner) {}
-
-  double evaluate(const Config& config) override {
-    ++count_;
-    return inner_.evaluate(config);
-  }
-  bool thread_safe() const override { return false; }
-  std::size_t count() const { return count_; }
-
- private:
-  Objective& inner_;
-  std::size_t count_ = 0;
-};
-
 /// Restriction of a full-space objective to a subset of its parameters.
 ///
 /// The subspace inherits a single "parent-valid" constraint that embeds the

@@ -1,6 +1,5 @@
 #include "search/samplers.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace tunekit::search {
@@ -24,36 +23,6 @@ std::vector<std::vector<double>> latin_hypercube_unit(std::size_t n, std::size_t
     for (std::size_t i = 0; i < n; ++i) {
       // Jittered position inside stratum perm[i].
       pts[i][d] = (static_cast<double>(perm[i]) + rng.uniform()) / static_cast<double>(n);
-    }
-  }
-  return pts;
-}
-
-namespace {
-constexpr std::array<int, 32> kPrimes = {2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31,
-                                         37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
-                                         83, 89, 97, 101, 103, 107, 109, 113, 127, 131};
-
-double radical_inverse(std::size_t i, int base) {
-  double f = 1.0, r = 0.0;
-  while (i > 0) {
-    f /= base;
-    r += f * static_cast<double>(i % static_cast<std::size_t>(base));
-    i /= static_cast<std::size_t>(base);
-  }
-  return r;
-}
-}  // namespace
-
-std::vector<std::vector<double>> halton_unit(std::size_t n, std::size_t dim,
-                                             std::size_t skip) {
-  if (dim > kPrimes.size()) {
-    throw std::invalid_argument("halton_unit: dimension exceeds prime table");
-  }
-  std::vector<std::vector<double>> pts(n, std::vector<double>(dim));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      pts[i][d] = radical_inverse(i + skip + 1, kPrimes[d]);
     }
   }
   return pts;

@@ -1,8 +1,7 @@
 #pragma once
 // Design-of-experiments samplers. BO initialization uses Latin hypercube
 // (good low-dimensional stratification with few points); Random Search uses
-// uniform sampling; the Halton sequence provides a deterministic
-// low-discrepancy alternative for acquisition candidate sets.
+// uniform sampling; the Grid backend enumerates grid_configs.
 
 #include <vector>
 
@@ -19,11 +18,6 @@ std::vector<std::vector<double>> uniform_unit(std::size_t n, std::size_t dim,
 /// sample per cell, cells permuted independently per dimension.
 std::vector<std::vector<double>> latin_hypercube_unit(std::size_t n, std::size_t dim,
                                                       tunekit::Rng& rng);
-
-/// First `n` points of the Halton sequence (skipping `skip` initial points)
-/// using the first `dim` primes as bases.
-std::vector<std::vector<double>> halton_unit(std::size_t n, std::size_t dim,
-                                             std::size_t skip = 20);
 
 /// Decode unit-cube points through the space and keep only valid configs.
 /// Tops up with rejection sampling until `n` valid configs are collected

@@ -285,18 +285,9 @@ std::string basename_of(const std::string& path) {
 
 /// Everything structural about a v2 journal: header discovery across
 /// segments, CRC validation, seal/sequence checks, and (optionally) repair.
-struct JournalScan {
-  JournalHeader header;
-  /// Valid records from live sealed segments then the active file, in order
-  /// (structural records — open/cont/seal/salvage — included).
-  std::vector<json::Value> records;
-  SessionStore::SalvageReport salvage;
-  std::size_t live_segments = 0;
-};
-
-JournalScan scan_v2(const std::string& path, bool repair,
-                    obs::Telemetry* telemetry) {
-  JournalScan out;
+SessionStore::Scan scan_v2(const std::string& path, bool repair,
+                           obs::Telemetry* telemetry) {
+  SessionStore::Scan out;
   FileScan active = scan_framed(path);
   if (active.records.empty()) {
     throw std::runtime_error("SessionStore: '" + path +
@@ -401,7 +392,7 @@ JournalScan scan_v2(const std::string& path, bool repair,
       }
     }
     for (auto& r : scan.records) out.records.push_back(std::move(r));
-    ++out.live_segments;
+    ++out.segments;
   }
 
   // The active file: mid-file damage is corruption (salvage), a trailing
@@ -461,12 +452,48 @@ std::FILE* open_or_throw(common::Io& io, const std::string& path,
   return f;
 }
 
-/// First line of `path` (no newline); empty when unreadable/empty.
-std::string sniff_first_line(const std::string& path) {
+/// Legacy unframed journals: the seed-era rules, unchanged — a torn final
+/// line is skipped with a warning, corruption anywhere else throws.
+SessionStore::Scan scan_v1(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("SessionStore: cannot read '" + path + "'");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(std::move(line));
+  }
+  if (lines.empty()) {
+    throw std::runtime_error("SessionStore: empty journal '" + path + "'");
+  }
+  SessionStore::Scan out;
+  out.legacy_v1 = true;
+  out.header = parse_header(json::parse(lines.front()), path);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    // A crash mid-append leaves the *final* line partially written; earlier
+    // lines stay strict: corruption there is real damage, not a torn tail.
+    try {
+      out.records.push_back(json::parse(lines[i]));
+    } catch (const json::JsonError& err) {
+      if (i + 1 != lines.size()) {
+        throw std::runtime_error("SessionStore: corrupt journal line in " + path);
+      }
+      log_warn("SessionStore: ignoring torn trailing record in '", path, "': ",
+               err.what());
+      ++out.salvage.torn_tails;
+      out.salvage.notes.push_back(basename_of(path) + ": torn trailing record");
+    }
+  }
+  return out;
+}
+
+/// Legacy v1 journals are unframed: their first line is bare JSON.
+bool is_v1(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  std::string first;
-  if (in) std::getline(in, first);
-  return first;
+  return in && in.peek() == '{';
+}
+
+SessionStore::Scan scan_journal(const std::string& path, bool repair,
+                                obs::Telemetry* telemetry) {
+  return is_v1(path) ? scan_v1(path) : scan_v2(path, repair, telemetry);
 }
 
 }  // namespace
@@ -505,8 +532,7 @@ std::unique_ptr<SessionStore> SessionStore::append(const std::string& path,
     throw std::runtime_error("SessionStore: no journal at '" + path + "'");
   }
   common::Io& io = options.io != nullptr ? *options.io : common::real_io();
-  const std::string first = sniff_first_line(path);
-  if (!first.empty() && first.front() == '{') {
+  if (is_v1(path)) {
     // Legacy v1 journal: keep appending unframed records to it.
     std::FILE* f = open_or_throw(io, path, "ab");
     return std::unique_ptr<SessionStore>(
@@ -735,7 +761,7 @@ void SessionStore::compact(
 
   // 1. Completed evaluations become an EvalDb checkpoint (atomic rename
   //    inside EvalDb::save), referenced from the rewritten header.
-  const std::string snapshot = path_ + ".snapshot.json";
+  const std::string snapshot = snapshot_path(path_);
   search::EvalDb db;
   for (const auto& e : completed) db.record(e);
   db.save(snapshot, io_);
@@ -929,64 +955,12 @@ void apply_events(const std::vector<json::Value>& events,
   out.next_id = std::max(out.header.next_id, any_id ? max_id_seen + 1 : 0);
 }
 
-/// Legacy unframed journals: the seed-era rules, unchanged — a torn final
-/// line is skipped with a warning, corruption anywhere else throws.
-SessionStore::Replay replay_v1(const std::string& path,
-                               const search::SearchSpace& space) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("SessionStore: cannot read '" + path + "'");
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(std::move(line));
-  }
-  if (lines.empty()) {
-    throw std::runtime_error("SessionStore: empty journal '" + path + "'");
-  }
-
-  SessionStore::Replay out;
-  out.header = parse_header(json::parse(lines.front()), path);
-  if (out.header.space_size != space.size()) {
-    throw std::runtime_error("SessionStore: journal space size mismatch in " + path);
-  }
-  if (!out.header.snapshot.empty()) {
-    const auto db = search::EvalDb::load(out.header.snapshot, space);
-    out.completed = db.all();
-  }
-
-  std::vector<json::Value> events;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    // A crash mid-append leaves the *final* line partially written: usually
-    // unparseable JSON, but possibly a parseable fragment missing keys. Any
-    // failure on that line means "the last record never fully landed" —
-    // recover with a warning instead of failing the whole resume. Earlier
-    // lines stay strict: corruption there is real damage, not a torn tail.
-    try {
-      events.push_back(json::parse(lines[i]));
-    } catch (const json::JsonError& err) {
-      if (i + 1 == lines.size()) {
-        log_warn("SessionStore: ignoring torn trailing record in '", path,
-                 "': ", err.what());
-        break;
-      }
-      throw std::runtime_error("SessionStore: corrupt journal line in " + path);
-    }
-  }
-  apply_events(events, space, path, /*tolerate_final=*/true, out);
-  return out;
-}
-
 }  // namespace
 
 SessionStore::Replay SessionStore::replay(const std::string& path,
                                           const search::SearchSpace& space,
                                           const ReplayOptions& options) {
-  const std::string first = sniff_first_line(path);
-  if (!fs::exists(path)) {
-    throw std::runtime_error("SessionStore: cannot read '" + path + "'");
-  }
-  if (!first.empty() && first.front() == '{') return replay_v1(path, space);
-
-  JournalScan scan = scan_v2(path, options.repair, options.telemetry);
+  Scan scan = scan_journal(path, options.repair, options.telemetry);
   Replay out;
   out.header = scan.header;
   out.salvage = std::move(scan.salvage);
@@ -994,56 +968,26 @@ SessionStore::Replay SessionStore::replay(const std::string& path,
     throw std::runtime_error("SessionStore: journal space size mismatch in " + path);
   }
   if (!out.header.snapshot.empty()) {
-    const auto db = search::EvalDb::load(out.header.snapshot, space);
-    out.completed = db.all();
+    out.completed = search::EvalDb::load(snapshot_path(path), space).all();
   }
   // CRC-valid records cannot be torn — a semantic failure in one is a writer
-  // bug and stays fatal everywhere, including the final line.
-  apply_events(scan.records, space, path, /*tolerate_final=*/false, out);
+  // bug and stays fatal everywhere, including the final line. v1 keeps the
+  // seed-era rule that a malformed final record is a torn tail.
+  apply_events(scan.records, space, path, /*tolerate_final=*/scan.legacy_v1, out);
   return out;
+}
+
+SessionStore::Scan SessionStore::scan(const std::string& path) {
+  return scan_journal(path, /*repair=*/false, nullptr);
 }
 
 SessionStore::FsckReport SessionStore::fsck(const std::string& path,
                                             bool repair) {
   FsckReport report;
   try {
-    const std::string first = sniff_first_line(path);
-    if (!fs::exists(path)) {
-      throw std::runtime_error("SessionStore: cannot read '" + path + "'");
-    }
-    if (!first.empty() && first.front() == '{') {
-      // Legacy v1: no CRCs to check — verify every line parses, tolerating
-      // only the torn-tail position.
-      report.legacy_v1 = true;
-      std::ifstream in(path);
-      std::vector<std::string> lines;
-      for (std::string line; std::getline(in, line);) {
-        if (!line.empty()) lines.push_back(std::move(line));
-      }
-      if (lines.empty()) {
-        throw std::runtime_error("SessionStore: empty journal '" + path + "'");
-      }
-      parse_header(json::parse(lines.front()), path);
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        try {
-          json::parse(lines[i]);
-          ++report.records;
-        } catch (const json::JsonError&) {
-          if (i + 1 != lines.size()) {
-            throw std::runtime_error(
-                "SessionStore: corrupt journal line in " + path);
-          }
-          ++report.salvage.torn_tails;
-          report.salvage.notes.push_back(basename_of(path) +
-                                         ": torn trailing record");
-        }
-      }
-      report.ok = true;
-      return report;
-    }
-
-    JournalScan scan = scan_v2(path, repair, nullptr);
-    report.segments = scan.live_segments;
+    Scan scan = scan_journal(path, repair, nullptr);
+    report.legacy_v1 = scan.legacy_v1;
+    report.segments = scan.segments;
     report.records = scan.records.size();
     report.salvage = std::move(scan.salvage);
     report.ok = true;

@@ -4,9 +4,7 @@
 // Every ask/tell event of a session is appended as one compact JSON line and
 // fsync'd, so a session killed mid-batch loses nothing: replaying the journal
 // reconstructs the completed evaluations *and* the in-flight candidates that
-// were issued but never resolved — strictly stronger crash recovery than the
-// EvalDb checkpoints, which only persist completed evaluations every
-// `checkpoint_every` steps.
+// were issued but never resolved.
 //
 // Record framing (format "tunekit-session-v2"): every journal line is
 //
@@ -76,10 +74,11 @@
 // (framed seal footer, fsync, rename to `<stem>.NNNNNN.jsonl`, directory
 // fsync) and a fresh active file opens with a "cont" record. Replay stitches
 // sealed segments in sequence order before the active file. Compaction folds
-// completed evaluations into an EvalDb-format snapshot (atomic rename),
-// rewrites the active file to header + in-flight asks (atomic rename), and
-// retires sealed segments — the rewritten header records its segment sequence
-// so a crash between rename and retire can never double-replay a stale one.
+// completed evaluations into an EvalDb-format snapshot beside the journal
+// (snapshot_path(), atomic rename), rewrites the active file to header +
+// in-flight asks (atomic rename), and retires sealed segments — the rewritten
+// header records its segment sequence so a crash between rename and retire
+// can never double-replay a stale one.
 //
 // Recovery distinguishes three kinds of damage:
 //   torn tail      an unparseable/CRC-invalid *final* line of the active file:
@@ -133,8 +132,10 @@ struct JournalHeader {
   /// First candidate id not yet allocated (advanced by compaction so ids
   /// stay unique after evaluations are folded into the snapshot).
   std::uint64_t next_id = 0;
-  /// EvalDb-format snapshot holding evaluations compacted out of the journal
-  /// (empty = none).
+  /// Where compaction wrote the EvalDb-format snapshot of the evaluations it
+  /// folded out of the journal (empty = none). Readers use only its
+  /// presence: the snapshot is always snapshot_path(<journal>), so a moved or
+  /// copied journal directory still finds its own.
   std::string snapshot;
   /// Segment sequence of the file this header opens (v2): sealed segments
   /// with a lower sequence predate the snapshot and are ignored on replay.
@@ -220,6 +221,19 @@ class SessionStore {
     SalvageReport salvage;
   };
 
+  /// A journal's header and records as read from disk, before any search
+  /// space is applied: what replay, fsck and `tunekit_cli report` parse.
+  struct Scan {
+    JournalHeader header;
+    /// Valid records in order — live sealed segments by sequence, then the
+    /// active file — structural ones (open/cont/seal/salvage) included.
+    std::vector<json::Value> records;
+    bool legacy_v1 = false;    ///< unframed v1 journal: no CRCs to check
+    std::size_t segments = 0;  ///< live sealed segments read
+    /// Damage skipped (v2), or a torn final line (v1).
+    SalvageReport salvage;
+  };
+
   /// Offline structural verification (`tunekit_cli fsck`): framing, CRCs,
   /// segment seals and sequence — everything that does not need the search
   /// space. With `repair`, damage is quarantined/rewritten as in replay.
@@ -258,6 +272,17 @@ class SessionStore {
   /// Structure-only verification/repair of one journal (no search space
   /// needed). Never throws: problems land in the report.
   static FsckReport fsck(const std::string& path, bool repair = false);
+
+  /// Read-only scan of one journal (no search space needed): damage is
+  /// skipped and counted, never repaired. Throws std::runtime_error where
+  /// replay would: a missing or header-less journal, or v1 corruption
+  /// before the final line.
+  static Scan scan(const std::string& path);
+
+  /// The compaction snapshot of the journal at `path`.
+  static std::string snapshot_path(const std::string& path) {
+    return path + ".snapshot.json";
+  }
 
   ~SessionStore();
   SessionStore(const SessionStore&) = delete;

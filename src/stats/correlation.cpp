@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace tunekit::stats {
@@ -29,30 +28,6 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y) {
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-namespace {
-/// Average ranks (ties get the mean of their rank span).
-std::vector<double> ranks(const std::vector<double>& v) {
-  std::vector<std::size_t> order(v.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
-  std::vector<double> out(v.size());
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j + 1 < order.size() && v[order[j + 1]] == v[order[i]]) ++j;
-    const double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) out[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return out;
-}
-}  // namespace
-
-double spearman(const std::vector<double>& x, const std::vector<double>& y) {
-  return pearson(ranks(x), ranks(y));
 }
 
 linalg::Matrix pearson_matrix(const linalg::Matrix& samples) {

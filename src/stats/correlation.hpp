@@ -15,9 +15,6 @@ namespace tunekit::stats {
 /// constant (no linear relationship measurable).
 double pearson(const std::vector<double>& x, const std::vector<double>& y);
 
-/// Spearman rank correlation (Pearson over average-ranked data).
-double spearman(const std::vector<double>& x, const std::vector<double>& y);
-
 /// Column-wise Pearson correlation matrix of a samples x features matrix.
 linalg::Matrix pearson_matrix(const linalg::Matrix& samples);
 

@@ -90,20 +90,6 @@ std::vector<SensitivityEntry> SensitivityReport::top(const std::string& region,
   return entries;
 }
 
-std::vector<SensitivityEntry> SensitivityReport::above_cutoff(const std::string& region,
-                                                              double cutoff) const {
-  const std::size_t r = region_index(region);
-  std::vector<SensitivityEntry> entries;
-  for (std::size_t p = 0; p < params_.size(); ++p) {
-    if (scores_(r, p) >= cutoff) entries.push_back({p, params_[p], scores_(r, p)});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const SensitivityEntry& a, const SensitivityEntry& b) {
-              return a.variability > b.variability;
-            });
-  return entries;
-}
-
 std::vector<double> SensitivityAnalyzer::variation_values(const search::ParamSpec& spec,
                                                           double baseline_value) const {
   // Expert-provided values take precedence when present.
@@ -285,36 +271,6 @@ SensitivityReport SensitivityAnalyzer::analyze(search::RegionObjective& objectiv
     }
   }
   return report;
-}
-
-namespace {
-/// Present a scalar objective as a single-region objective.
-class TotalOnly final : public search::RegionObjective {
- public:
-  explicit TotalOnly(search::Objective& inner) : inner_(inner) {}
-  search::RegionTimes evaluate_regions(const search::Config& c) override {
-    search::RegionTimes t;
-    t.total = inner_.evaluate(c);
-    return t;
-  }
-  search::RegionTimes evaluate_regions_cancellable(
-      const search::Config& c, const search::CancelFlag& cancel) override {
-    search::RegionTimes t;
-    t.total = inner_.evaluate_cancellable(c, cancel);
-    return t;
-  }
-  bool thread_safe() const override { return inner_.thread_safe(); }
-
- private:
-  search::Objective& inner_;
-};
-}  // namespace
-
-SensitivityReport SensitivityAnalyzer::analyze_total(search::Objective& objective,
-                                                     const search::SearchSpace& space,
-                                                     const search::Config& baseline) const {
-  TotalOnly wrapper(objective);
-  return analyze(wrapper, space, baseline);
 }
 
 }  // namespace tunekit::stats

@@ -101,10 +101,6 @@ class SensitivityReport {
   /// paper's Tables II, V, VI rows.
   std::vector<SensitivityEntry> top(const std::string& region, std::size_t k) const;
 
-  /// All parameters whose score on `region` is >= cutoff (fraction).
-  std::vector<SensitivityEntry> above_cutoff(const std::string& region,
-                                             double cutoff) const;
-
   /// Total objective evaluations consumed by the analysis (every repeat and
   /// retry counts).
   std::size_t observations = 0;
@@ -131,11 +127,6 @@ class SensitivityAnalyzer {
   SensitivityReport analyze(search::RegionObjective& objective,
                             const search::SearchSpace& space,
                             const search::Config& baseline) const;
-
-  /// Convenience: analyze a scalar objective (single region "total").
-  SensitivityReport analyze_total(search::Objective& objective,
-                                  const search::SearchSpace& space,
-                                  const search::Config& baseline) const;
 
   /// The variation values that would be tested for parameter `i` from the
   /// given baseline value (exposed for tests and for reporting).

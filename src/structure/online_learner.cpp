@@ -50,23 +50,6 @@ Partition normalize_partition(Partition partition) {
   return partition;
 }
 
-double cut_mass(const linalg::Matrix& affinity, const Partition& partition) {
-  const std::size_t dims = affinity.rows();
-  std::vector<std::size_t> block_of(dims, static_cast<std::size_t>(-1));
-  for (std::size_t b = 0; b < partition.size(); ++b) {
-    for (std::size_t idx : partition[b]) {
-      if (idx < dims) block_of[idx] = b;
-    }
-  }
-  double mass = 0.0;
-  for (std::size_t i = 0; i < dims; ++i) {
-    for (std::size_t j = i + 1; j < dims; ++j) {
-      if (block_of[i] != block_of[j]) mass += affinity(i, j);
-    }
-  }
-  return mass;
-}
-
 double partition_cost(const linalg::Matrix& affinity, const Partition& partition,
                       double threshold) {
   const std::size_t dims = affinity.rows();

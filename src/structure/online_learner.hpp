@@ -26,14 +26,11 @@ using Partition = std::vector<std::vector<std::size_t>>;
 /// Two partitions are equal iff their normalized forms are equal.
 Partition normalize_partition(Partition partition);
 
-/// Sum of affinity mass cut by a partition (pairs in different blocks).
-double cut_mass(const linalg::Matrix& affinity, const Partition& partition);
-
 /// Correlation-clustering cost of a partition: cut pairs pay their affinity
 /// above `threshold`, within-block pairs pay the shortfall below it. The
-/// threshold is the indifference point, so — unlike raw cut mass — merging
-/// blocks on weak edges *costs* instead of paying, and the trivial one-block
-/// partition is not a universal attractor.
+/// threshold is the indifference point, so merging blocks on weak edges
+/// *costs* instead of paying, and the trivial one-block partition is not a
+/// universal attractor.
 double partition_cost(const linalg::Matrix& affinity, const Partition& partition,
                       double threshold);
 

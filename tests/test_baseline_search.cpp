@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "search/grid_search.hpp"
 #include "search/random_search.hpp"
 
 namespace tunekit::search {
@@ -80,41 +77,6 @@ TEST(RandomSearch, RespectsConstraints) {
   opt.max_evals = 50;
   const auto result = RandomSearch(opt).run(obj, space);
   EXPECT_GE(result.best_config[0], 0.0);
-}
-
-TEST(GridSearch, ExhaustiveOnDiscreteSpace) {
-  SearchSpace space;
-  space.add(ParamSpec::integer("a", 0, 9, 0));
-  space.add(ParamSpec::integer("b", 0, 9, 0));
-  FunctionObjective obj(
-      [](const Config& c) { return std::abs(c[0] - 7.0) + std::abs(c[1] - 3.0); });
-  const auto result = GridSearch().run(obj, space);
-  EXPECT_EQ(result.evaluations, 100u);
-  EXPECT_DOUBLE_EQ(result.best_value, 0.0);
-  EXPECT_EQ(result.best_config, (Config{7.0, 3.0}));
-  EXPECT_EQ(result.method, "grid");
-}
-
-TEST(GridSearch, BudgetSubsamples) {
-  SearchSpace space;
-  space.add(ParamSpec::integer("a", 0, 99, 0));
-  FunctionObjective obj([](const Config& c) { return c[0]; });
-  GridSearchOptions opt;
-  opt.max_evals = 10;
-  const auto result = GridSearch(opt).run(obj, space);
-  EXPECT_LE(result.evaluations, 10u);
-  EXPECT_GE(result.evaluations, 5u);
-}
-
-TEST(GridSearch, RealLevelsControlResolution) {
-  SearchSpace space;
-  space.add(ParamSpec::real("x", 0.0, 1.0, 0.0));
-  FunctionObjective obj([](const Config& c) { return (c[0] - 0.5) * (c[0] - 0.5); });
-  GridSearchOptions opt;
-  opt.real_levels = 11;
-  const auto result = GridSearch(opt).run(obj, space);
-  EXPECT_EQ(result.evaluations, 11u);
-  EXPECT_NEAR(result.best_config[0], 0.5, 1e-12);
 }
 
 }  // namespace

@@ -42,23 +42,6 @@ TEST(Pearson, BadInputThrows) {
   EXPECT_THROW(pearson({1, 2}, {1, 2, 3}), std::invalid_argument);
 }
 
-TEST(Spearman, MonotoneNonlinearIsOne) {
-  // y = x^3 is monotone: Spearman 1, Pearson < 1.
-  std::vector<double> x, y;
-  for (int i = -5; i <= 5; ++i) {
-    x.push_back(i);
-    y.push_back(static_cast<double>(i * i * i));
-  }
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-  EXPECT_LT(pearson(x, y), 1.0);
-}
-
-TEST(Spearman, HandlesTies) {
-  const std::vector<double> x{1, 2, 2, 3};
-  const std::vector<double> y{1, 2, 2, 3};
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-}
-
 TEST(PearsonMatrix, DiagonalOnesSymmetric) {
   linalg::Matrix samples(4, 3);
   Rng rng(2);

@@ -1,4 +1,5 @@
 #include "search/eval_db.hpp"
+#include "search/result.hpp"
 
 #include <gtest/gtest.h>
 
@@ -57,16 +58,6 @@ TEST(EvalDb, BestKSortedAscending) {
   // Requesting more than available returns all non-NaN, sorted.
   EXPECT_EQ(db.best_k(10).size(), 3u);
   EXPECT_TRUE(db.best_k(0).empty());
-}
-
-TEST(EvalDb, TrajectoryIsMonotoneNonIncreasing) {
-  EvalDb db;
-  db.record({0, 0}, 5.0);
-  db.record({0, 0}, 7.0);
-  db.record({0, 0}, 3.0);
-  db.record({0, 0}, 4.0);
-  const auto traj = db.best_trajectory();
-  EXPECT_EQ(traj, (std::vector<double>{5.0, 5.0, 3.0, 3.0}));
 }
 
 TEST(EvalDb, SaveLoadRoundTrip) {
@@ -166,13 +157,24 @@ TEST(EvalDb, BestIgnoresInfinitySentinels) {
   db.record({0.2, 0.2}, 4.0);
   ASSERT_TRUE(db.best().has_value());
   EXPECT_DOUBLE_EQ(db.best()->value, 4.0);
+}
+
+TEST(MakeResult, TrajectoryIsBestSoFarIgnoringInfinities) {
+  EvalDb db;
+  db.record({0.0, 0.0}, std::numeric_limits<double>::infinity());
+  db.record({0.1, 0.1}, -std::numeric_limits<double>::infinity());
+  db.record({0.2, 0.2}, 5.0);
+  db.record({0.3, 0.3}, 7.0);
+  db.record({0.4, 0.4}, 3.0);
+  db.record({0.5, 0.5}, 4.0);
+  const SearchResult result = make_result("test", db.all(), 0.0);
   // -inf must not become the incumbent; the trajectory stays at +inf until a
-  // finite value lands.
-  const auto traj = db.best_trajectory();
-  ASSERT_EQ(traj.size(), 3u);
-  EXPECT_TRUE(std::isinf(traj[0]) && traj[0] > 0.0);
-  EXPECT_TRUE(std::isinf(traj[1]) && traj[1] > 0.0);
-  EXPECT_DOUBLE_EQ(traj[2], 4.0);
+  // finite value lands, then never rises.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(result.trajectory, (std::vector<double>{inf, inf, 5.0, 5.0, 3.0, 3.0}));
+  EXPECT_DOUBLE_EQ(result.best_value, 3.0);
+  EXPECT_EQ(result.best_config, (Config{0.4, 0.4}));
+  EXPECT_EQ(result.evaluations, 6u);
 }
 
 TEST(EvalDb, RecordClassifiesValueByDefault) {
@@ -184,19 +186,6 @@ TEST(EvalDb, RecordClassifiesValueByDefault) {
   EXPECT_EQ(all[0].outcome, robust::EvalOutcome::Ok);
   EXPECT_EQ(all[1].outcome, robust::EvalOutcome::NonFinite);
   EXPECT_EQ(all[2].outcome, robust::EvalOutcome::NonFinite);
-}
-
-TEST(EvalDb, OutcomeCountsTallyEveryKind) {
-  EvalDb db;
-  db.record({0.0, 0.0}, 1.0);
-  db.record({0.1, 0.1}, 2.0);
-  db.record({0.2, 0.2}, std::nan(""), 0.0, robust::EvalOutcome::Crashed);
-  db.record({0.3, 0.3}, std::nan(""), 0.0, robust::EvalOutcome::TimedOut);
-  const auto counts = db.outcome_counts();
-  EXPECT_EQ(counts.at(robust::EvalOutcome::Ok), 2u);
-  EXPECT_EQ(counts.at(robust::EvalOutcome::Crashed), 1u);
-  EXPECT_EQ(counts.at(robust::EvalOutcome::TimedOut), 1u);
-  EXPECT_EQ(counts.count(robust::EvalOutcome::InvalidConfig), 0u);
 }
 
 TEST(EvalDb, OutcomeAndDispersionSurviveRoundTrip) {

@@ -13,15 +13,6 @@ TEST(FunctionObjective, EvaluatesAndFlagsThreadSafety) {
   EXPECT_FALSE(g.thread_safe());
 }
 
-TEST(CountingObjective, Counts) {
-  FunctionObjective f([](const Config& c) { return c[0]; });
-  CountingObjective counted(f);
-  EXPECT_EQ(counted.count(), 0u);
-  counted.evaluate({1.0});
-  counted.evaluate({2.0});
-  EXPECT_EQ(counted.count(), 2u);
-}
-
 TEST(RegionTimes, RegionOrTotal) {
   RegionTimes t;
   t.total = 10.0;

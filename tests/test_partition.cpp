@@ -46,41 +46,5 @@ TEST(UnionFind, LongChainCollapses) {
   EXPECT_TRUE(uf.connected(0, 99));
 }
 
-TEST(MergeRoutines, NoEdgesMeansSingletons) {
-  InfluenceGraph g({"A", "B", "C"}, {"p"});
-  g.add_owner(0, 0);
-  const auto groups = merge_routines(g);
-  EXPECT_EQ(groups.size(), 3u);
-}
-
-TEST(MergeRoutines, CrossEdgeMerges) {
-  InfluenceGraph g({"A", "B", "C"}, {"p"});
-  g.add_owner(0, 1);
-  g.set_influence(0, 2, 0.5);  // B's param influences C
-  const auto groups = merge_routines(g);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(groups[1], (std::vector<std::size_t>{1, 2}));
-}
-
-TEST(MergeRoutines, TransitiveMerge) {
-  InfluenceGraph g({"A", "B", "C"}, {"pa", "pb"});
-  g.add_owner(0, 0);
-  g.add_owner(1, 1);
-  g.set_influence(0, 1, 0.3);  // A -> B
-  g.set_influence(1, 2, 0.3);  // B -> C
-  const auto groups = merge_routines(g);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(MergeRoutines, PrunedGraphControlsMerging) {
-  InfluenceGraph g({"A", "B"}, {"p"});
-  g.add_owner(0, 0);
-  g.set_influence(0, 1, 0.15);
-  EXPECT_EQ(merge_routines(g.pruned(0.25)).size(), 2u);
-  EXPECT_EQ(merge_routines(g.pruned(0.10)).size(), 1u);
-}
-
 }  // namespace
 }  // namespace tunekit::graph

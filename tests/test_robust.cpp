@@ -1,7 +1,7 @@
 // Tests for the hardened evaluation layer: failure taxonomy, watchdog
 // deadlines with cooperative cancellation, transient-crash retries with
-// backoff, MAD outlier rejection, robust repeated measurement, and the
-// HardenedObjective decorator.
+// backoff, MAD outlier rejection, robust repeated measurement, and fault
+// injection.
 
 #include <gtest/gtest.h>
 
@@ -364,40 +364,6 @@ TEST(MeasureOptions, TrivialityDetection) {
   MeasureOptions retries;
   retries.watchdog.max_retries = 2;
   EXPECT_FALSE(is_trivial(retries));
-}
-
-// --- HardenedObjective ---
-
-TEST(HardenedObjective, PassesThroughSuccess) {
-  search::FunctionObjective inner([](const search::Config& c) { return c[0] + 1.0; });
-  MeasureOptions opts;
-  opts.repeats = 3;
-  HardenedObjective hardened(inner, opts);
-  EXPECT_DOUBLE_EQ(hardened.evaluate({2.0}), 3.0);
-}
-
-TEST(HardenedObjective, RethrowsClassifiedFailure) {
-  search::FunctionObjective inner(
-      [](const search::Config&) -> double { throw std::runtime_error("boom"); });
-  HardenedObjective hardened(inner, MeasureOptions{});
-  try {
-    hardened.evaluate({0.0});
-    FAIL() << "expected EvalFailure";
-  } catch (const EvalFailure& e) {
-    EXPECT_EQ(e.outcome(), EvalOutcome::Crashed);
-  }
-}
-
-TEST(HardenedObjective, RetriesMakeFlakySucceed) {
-  int calls = 0;
-  search::FunctionObjective inner([&calls](const search::Config& c) -> double {
-    if (++calls == 1) throw std::runtime_error("transient");
-    return c[0];
-  });
-  MeasureOptions opts;
-  opts.watchdog.max_retries = 2;
-  HardenedObjective hardened(inner, opts);
-  EXPECT_DOUBLE_EQ(hardened.evaluate({8.0}), 8.0);
 }
 
 // --- Fault injection ---

@@ -44,23 +44,6 @@ TEST(LatinHypercube, DeterministicPerSeed) {
   EXPECT_EQ(p1, p2);
 }
 
-TEST(Halton, DeterministicAndLowDiscrepancy) {
-  const auto p1 = halton_unit(100, 2);
-  const auto p2 = halton_unit(100, 2);
-  EXPECT_EQ(p1, p2);
-  // Low discrepancy: each quadrant gets roughly a quarter of the points.
-  int q[4] = {0, 0, 0, 0};
-  for (const auto& p : p1) {
-    q[(p[0] >= 0.5 ? 1 : 0) + (p[1] >= 0.5 ? 2 : 0)]++;
-  }
-  for (int c : q) EXPECT_NEAR(c, 25, 6);
-}
-
-TEST(Halton, DimensionLimit) {
-  EXPECT_NO_THROW(halton_unit(5, 32));
-  EXPECT_THROW(halton_unit(5, 33), std::invalid_argument);
-}
-
 TEST(SampleValidConfigs, AllValidAndExactCount) {
   SearchSpace space;
   space.add(ParamSpec::integer("a", 1, 10, 1));

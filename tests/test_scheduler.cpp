@@ -34,9 +34,9 @@ SchedulerOptions workers(std::size_t n) {
 /// Thread-safe sphere objective that counts calls and records every config
 /// it was asked to evaluate, so the stress test can prove nothing was lost
 /// or evaluated twice.
-class CountingObjective final : public search::Objective {
+class RecordingObjective final : public search::Objective {
  public:
-  explicit CountingObjective(double sleep_ms = 0.0) : sleep_ms_(sleep_ms) {}
+  explicit RecordingObjective(double sleep_ms = 0.0) : sleep_ms_(sleep_ms) {}
 
   double evaluate(const search::Config& c) override {
     if (sleep_ms_ > 0.0) {
@@ -89,7 +89,7 @@ TEST(EvalScheduler, NoLostOrDuplicateEvaluations) {
   opt.seed = 13;
   TuningSession session(space, opt);
 
-  CountingObjective objective;
+  RecordingObjective objective;
   EvalScheduler scheduler(workers(8));
   const auto result = scheduler.run(session, objective);
 
@@ -186,7 +186,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   Stopwatch w1;
   {
     TuningSession session(space, opt);
-    CountingObjective objective(sleep_ms);
+    RecordingObjective objective(sleep_ms);
     EvalScheduler scheduler(workers(1));
     scheduler.run(session, objective);
   }
@@ -195,7 +195,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   Stopwatch w8;
   {
     TuningSession session(space, opt);
-    CountingObjective objective(sleep_ms);
+    RecordingObjective objective(sleep_ms);
     EvalScheduler scheduler(workers(8));
     scheduler.run(session, objective);
   }

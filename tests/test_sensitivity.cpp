@@ -100,16 +100,6 @@ TEST(Sensitivity, TopKOrdering) {
   EXPECT_EQ(report.top("B", 99).size(), 3u);  // capped at param count
 }
 
-TEST(Sensitivity, AboveCutoffFilters) {
-  TwoRegionApp app;
-  const auto space = three_param_space();
-  SensitivityAnalyzer analyzer;
-  const auto report = analyzer.analyze(app, space, {1.0, 1.0, 1.0});
-  const auto strong = report.above_cutoff("B", 0.05);
-  for (const auto& e : strong) EXPECT_GE(e.variability, 0.05);
-  EXPECT_GE(strong.size(), 1u);
-}
-
 TEST(Sensitivity, UnknownRegionThrows) {
   TwoRegionApp app;
   const auto space = three_param_space();
@@ -297,16 +287,6 @@ TEST(Sensitivity, FailingBaselineThrowsWithOutcome) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("crashed"), std::string::npos);
   }
-}
-
-TEST(Sensitivity, AnalyzeTotalWrapsScalarObjective) {
-  search::FunctionObjective obj([](const Config& c) { return 5.0 + c[0]; });
-  SearchSpace s;
-  s.add(ParamSpec::real("p", 0.1, 100.0, 1.0));
-  SensitivityAnalyzer analyzer;
-  const auto report = analyzer.analyze_total(obj, s, {1.0});
-  EXPECT_EQ(report.regions(), (std::vector<std::string>{"total"}));
-  EXPECT_GT(report.score("total", 0), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -178,6 +179,41 @@ TEST(TuningSession, GridBackendEnumeratesDiscreteSpace) {
   }
   EXPECT_EQ(seen.size(), 6u);  // every grid point exactly once
   EXPECT_EQ(session.state(), SessionState::Exhausted);
+}
+
+TEST(TuningSession, GridBackendStridesThroughAGridLargerThanItsBudget) {
+  search::SearchSpace space;
+  space.add(search::ParamSpec::integer("a", 0, 99, 0));
+  SessionOptions opt;
+  opt.max_evals = 10;
+  opt.backend = SessionBackend::Grid;
+  TuningSession session(space, opt);
+
+  std::vector<double> asked;
+  for (const auto& c : session.ask(20)) {
+    asked.push_back(c.config[0]);
+    session.tell(c.id, c.config[0]);
+  }
+  std::sort(asked.begin(), asked.end());
+  EXPECT_EQ(asked, (std::vector<double>{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}));
+  EXPECT_EQ(session.state(), SessionState::Exhausted);
+}
+
+TEST(TuningSession, GridRealLevelsSetTheResolution) {
+  search::SearchSpace space;
+  space.add(search::ParamSpec::real("x", 0.0, 1.0, 0.0));
+  SessionOptions opt;
+  opt.max_evals = 100;
+  opt.backend = SessionBackend::Grid;
+  opt.grid_real_levels = 11;
+  TuningSession session(space, opt);
+
+  const auto batch = session.ask(100);
+  EXPECT_EQ(batch.size(), 11u);
+  const auto near_half = std::count_if(batch.begin(), batch.end(), [](const Candidate& c) {
+    return std::abs(c.config[0] - 0.5) <= 1e-12;
+  });
+  EXPECT_EQ(near_half, 1);
 }
 
 TEST(TuningSession, BoBackendAvoidsDuplicatesAcrossPendingAsks) {

@@ -544,5 +544,62 @@ TEST(SessionDurability, QuarantineSurvivesCompaction) {
   std::filesystem::remove(journal);
 }
 
+TEST(SessionDurability, CompactedJournalResumesAfterItsDirectoryMoves) {
+  // The header names the snapshot by the path the journal was opened with;
+  // replay must find it beside the journal wherever the directory now is.
+  const auto space = two_dim_space();
+  const std::filesystem::path dir = temp_path("tunekit_durability_move_from");
+  const std::filesystem::path moved = temp_path("tunekit_durability_move_to");
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(moved);
+  std::filesystem::create_directories(dir);
+  const std::string journal = (dir / "search.journal.jsonl").string();
+
+  SessionOptions opt;
+  opt.max_evals = 12;
+  opt.backend = SessionBackend::Bo;
+  opt.n_init = 4;
+  opt.bo.hyperopt_restarts = 1;
+  opt.bo.hyperopt_max_iters = 20;
+  opt.seed = 17;
+  opt.compact_every = 4;  // six tells: four compacted, two still records
+  {
+    TuningSession session(space, opt, journal);
+    for (int i = 0; i < 6; ++i) {
+      const auto batch = session.ask(1);
+      ASSERT_EQ(batch.size(), 1u);
+      const auto& c = batch[0].config;
+      ASSERT_TRUE(session.tell(batch[0].id, c[0] * c[0] + c[1] * c[1]));
+    }
+  }
+  ASSERT_TRUE(std::filesystem::exists(SessionStore::snapshot_path(journal)));
+  std::filesystem::copy(dir, moved, std::filesystem::copy_options::recursive);
+
+  // What a resume in place restores and asks next...
+  auto in_place = TuningSession::resume(space, opt, journal);
+  const auto expected = in_place->evaluations();
+  const auto expected_next = in_place->ask(1);
+  in_place.reset();
+  std::filesystem::remove_all(dir);
+
+  // ...the moved copy must restore and ask, with the original gone.
+  auto resumed =
+      TuningSession::resume(space, opt, (moved / "search.journal.jsonl").string());
+  const auto restored = resumed->evaluations();
+  ASSERT_EQ(restored.size(), 6u);
+  ASSERT_EQ(restored.size(), expected.size());
+  for (std::size_t i = 0; i < restored.size(); ++i) {
+    EXPECT_EQ(restored[i].config, expected[i].config);
+    EXPECT_EQ(restored[i].value, expected[i].value);
+  }
+  const auto next = resumed->ask(1);
+  ASSERT_EQ(next.size(), 1u);
+  ASSERT_EQ(expected_next.size(), 1u);
+  EXPECT_EQ(next[0].id, expected_next[0].id);
+  EXPECT_EQ(next[0].config, expected_next[0].config);
+  resumed.reset();
+  std::filesystem::remove_all(moved);
+}
+
 }  // namespace
 }  // namespace tunekit::service

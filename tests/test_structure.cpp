@@ -128,17 +128,6 @@ TEST(PartitionUtils, NormalizeSortsBlocksAndMembers) {
   EXPECT_EQ(n, expected);
 }
 
-TEST(PartitionUtils, CutMassBounds) {
-  linalg::Matrix aff(3, 3);
-  aff(0, 1) = aff(1, 0) = 0.8;
-  aff(0, 2) = aff(2, 0) = 0.1;
-  aff(1, 2) = aff(2, 1) = 0.4;
-  const double total = 0.8 + 0.1 + 0.4;
-  EXPECT_DOUBLE_EQ(structure::cut_mass(aff, {{0}, {1}, {2}}), total);
-  EXPECT_DOUBLE_EQ(structure::cut_mass(aff, {{0, 1, 2}}), 0.0);
-  EXPECT_DOUBLE_EQ(structure::cut_mass(aff, {{0, 1}, {2}}), 0.1 + 0.4);
-}
-
 TEST(RepartitionPolicy, RequiresConsecutiveConfirmations) {
   RepartitionPolicyOptions opt;
   opt.evidence_threshold = 0.1;

@@ -59,7 +59,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -88,6 +87,7 @@
 #include "robust/worker_pool.hpp"
 #include "core/report.hpp"
 #include "search/config.hpp"
+#include "search/eval_db.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "service/session_store.hpp"
@@ -540,13 +540,39 @@ int cmd_session(core::TunableApp& app, const CliArgs& args, obs::Telemetry* tele
 
 // --- report: offline breakdown from the journals in a checkpoint dir. ---
 
-/// Per-journal aggregate, built by a tolerant line-by-line parse. We do not
-/// go through SessionStore::replay here: journals in one checkpoint dir
-/// belong to different subspace searches (different config arities) and the
-/// report needs no configs — only counts, times, and the metrics snapshots.
+/// Active session journals under `dir` and its shard-*/ subdirectories
+/// (sealed rotation segments belong to their active journal; every
+/// SessionStore read walks them itself). Sorted, so output and exit codes
+/// are deterministic. Shared by report and fsck.
+std::vector<std::filesystem::path> find_journals(const std::string& dir,
+                                                 const std::string& only_id) {
+  std::vector<std::filesystem::path> journals;
+  auto collect = [&](const std::filesystem::path& d) {
+    if (!std::filesystem::is_directory(d)) return;
+    for (const auto& entry : std::filesystem::directory_iterator(d)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string name = entry.path().filename().string();
+      if (name.size() <= 14 || name.substr(name.size() - 14) != ".journal.jsonl") {
+        continue;
+      }
+      if (!only_id.empty() && name != only_id + ".journal.jsonl") continue;
+      journals.push_back(entry.path());
+    }
+  };
+  collect(dir);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_directory() &&
+        entry.path().filename().string().rfind("shard-", 0) == 0) {
+      collect(entry.path());
+    }
+  }
+  std::sort(journals.begin(), journals.end());
+  return journals;
+}
+
 /// Per-fleet-node attribution, rebuilt from the "node" key that tell/fail
 /// records carry when the evaluation ran on a remote fleet node. Durations
-/// are kept raw so the report can interpolate a p99 after folding segments.
+/// are kept raw so the report can interpolate a p99 across searches.
 struct NodeStats {
   std::size_t tells = 0;
   std::size_t fails = 0;
@@ -578,40 +604,45 @@ double percentile(std::vector<double>& values, double q) {
   return values[lo] + (values[hi] - values[lo]) * (pos - static_cast<double>(lo));
 }
 
-JournalSummary summarize_journal(const std::filesystem::path& path) {
-  JournalSummary s;
-  s.name = path.stem().stem().string();  // strip .journal.jsonl
-  // Sealed segments are "<id>.journal.NNNNNN.jsonl": strip the number too so
-  // they merge into the same search's summary.
-  if (const auto dot = s.name.rfind(".journal"); dot != std::string::npos) {
-    s.name.resize(dot);
+/// One journal's aggregate: SessionStore::scan reads its records (sealed
+/// segments included, damaged lines skipped) and the compaction snapshot
+/// adds the evaluations compaction folded out of them — a compacted
+/// evaluation counts as a tell when its outcome is ok and as a drop
+/// otherwise. The snapshot keeps no failed attempts and no fleet nodes, so
+/// Fails, the failed attempts by outcome and the per-node table count only
+/// what compaction has not folded yet. Configs are never decoded: the
+/// searches of one checkpoint dir have different arities.
+JournalSummary summarize_journal(const std::filesystem::path& path, std::string name) {
+  const std::string file = path.string();
+  const auto scan = service::SessionStore::scan(file);
+  if (!scan.salvage.clean()) {
+    std::fprintf(stderr, "warning: '%s' has damaged records; run fsck\n", file.c_str());
   }
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    // v2 journals frame each line as "<8 hex CRC> <json>"; the report only
-    // aggregates, so the payload is taken on faith (fsck checks the CRCs).
-    std::string_view payload = line;
-    if (line.size() > 9 && line[0] != '{' && line[8] == ' ') {
-      payload = std::string_view(line).substr(9);
+  JournalSummary s;
+  s.name = std::move(name);
+  s.backend = scan.header.backend;
+  const auto add_tell = [&s](double cost, double duration_ms, int slot) {
+    ++s.tells;
+    s.cost_seconds += cost;
+    s.duration_ms += duration_ms;
+    if (slot >= 0) ++s.slot_tells[slot];
+  };
+  if (!scan.header.snapshot.empty()) {
+    const auto compacted =
+        search::EvalDb::load(service::SessionStore::snapshot_path(file)).all();
+    for (const auto& e : compacted) {
+      if (e.outcome == robust::EvalOutcome::Ok) {
+        add_tell(e.cost_seconds, e.duration_ms, e.worker_slot);
+      } else {
+        ++s.drops;
+      }
     }
-    json::Value rec;
-    try {
-      rec = json::parse(std::string(payload));
-    } catch (const std::exception&) {
-      continue;  // torn tail line from a crash — exactly what replay skips
-    }
-    if (!rec.is_object() || !rec.contains("e")) continue;
+  }
+  for (const auto& rec : scan.records) {
     const std::string& e = rec.at("e").as_string();
-    if (e == "open") {
-      if (rec.contains("backend")) s.backend = rec.at("backend").as_string();
-    } else if (e == "tell") {
-      ++s.tells;
-      s.cost_seconds += rec.number_or("cost", 0.0);
-      s.duration_ms += rec.number_or("dur_ms", 0.0);
-      const int slot = static_cast<int>(rec.number_or("slot", -1.0));
-      if (slot >= 0) ++s.slot_tells[slot];
+    if (e == "tell") {
+      add_tell(rec.number_or("cost", 0.0), rec.number_or("dur_ms", 0.0),
+               static_cast<int>(rec.number_or("slot", -1.0)));
       if (rec.contains("node")) {
         NodeStats& node = s.node_stats[rec.at("node").as_string()];
         ++node.tells;
@@ -661,59 +692,28 @@ int cmd_report(const std::string& dir) {
   }
   std::vector<JournalSummary> sessions;
   json::Value telemetry_snap;  // from the telemetry journal, if present
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 14 && name.substr(name.size() - 14) == ".journal.jsonl") {
-      files.push_back(entry.path());
+  for (const auto& path : find_journals(dir, "")) {
+    // "search_2", or "shard-1/<id>" for a sharded server's journal dir.
+    std::string name = std::filesystem::relative(path, dir).string();
+    name.resize(name.size() - std::string_view(".journal.jsonl").size());
+    JournalSummary s;
+    try {
+      s = summarize_journal(path, std::move(name));
+    } catch (const std::exception& e) {
+      // One unreadable journal (no header, a lost snapshot) must not hide
+      // the others; fsck says what is wrong with it.
+      std::fprintf(stderr, "warning: skipping '%s': %s\n", path.c_str(), e.what());
       continue;
     }
-    // Sealed rotation segments: "<id>.journal.NNNNNN.jsonl".
-    const auto pos = name.find(".journal.");
-    if (pos != std::string::npos && name.size() > 6 &&
-        name.substr(name.size() - 6) == ".jsonl") {
-      const std::string middle =
-          name.substr(pos + 9, name.size() - 6 - (pos + 9));
-      if (!middle.empty() &&
-          middle.find_first_not_of("0123456789") == std::string::npos) {
-        files.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& path : files) {
-    JournalSummary s = summarize_journal(path);
     if (s.backend == "telemetry") {
       telemetry_snap = s.metrics;
-      continue;
-    }
-    // Segments of one journal share a name (sorted: sealed first, active
-    // last) — fold them into a single per-search summary.
-    if (!sessions.empty() && sessions.back().name == s.name) {
-      JournalSummary& acc = sessions.back();
-      if (acc.backend.empty()) acc.backend = s.backend;
-      acc.tells += s.tells;
-      acc.fails += s.fails;
-      acc.drops += s.drops;
-      acc.cost_seconds += s.cost_seconds;
-      acc.duration_ms += s.duration_ms;
-      for (const auto& [why, n] : s.failure_outcomes) acc.failure_outcomes[why] += n;
-      for (const auto& [slot, n] : s.slot_tells) acc.slot_tells[slot] += n;
-      for (auto& [node, ns] : s.node_stats) {
-        NodeStats& dst = acc.node_stats[node];
-        dst.tells += ns.tells;
-        dst.fails += ns.fails;
-        dst.durations_ms.insert(dst.durations_ms.end(), ns.durations_ms.begin(),
-                                ns.durations_ms.end());
-      }
-      if (!s.metrics.is_null()) acc.metrics = s.metrics;
-      if (!s.structure.is_null()) acc.structure = s.structure;
     } else {
       sessions.push_back(std::move(s));
     }
   }
   if (sessions.empty() && telemetry_snap.is_null()) {
-    std::fprintf(stderr, "error: no *.journal.jsonl files under '%s'\n", dir.c_str());
+    std::fprintf(stderr, "error: no readable *.journal.jsonl files under '%s'\n",
+                 dir.c_str());
     return 1;
   }
 
@@ -849,35 +849,6 @@ int cmd_report(const std::string& dir) {
 }
 
 // --- fsck: offline journal verification/repair (docs/SERVICE.md). ---
-
-/// Active session journals under `dir` and its shard-*/ subdirectories
-/// (sealed rotation segments belong to their active journal; fsck walks
-/// them itself). Sorted, so output and exit codes are deterministic.
-std::vector<std::filesystem::path> find_journals(const std::string& dir,
-                                                 const std::string& only_id) {
-  std::vector<std::filesystem::path> journals;
-  auto collect = [&](const std::filesystem::path& d) {
-    if (!std::filesystem::is_directory(d)) return;
-    for (const auto& entry : std::filesystem::directory_iterator(d)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.size() <= 14 || name.substr(name.size() - 14) != ".journal.jsonl") {
-        continue;
-      }
-      if (!only_id.empty() && name != only_id + ".journal.jsonl") continue;
-      journals.push_back(entry.path());
-    }
-  };
-  collect(dir);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("shard-", 0) == 0) {
-      collect(entry.path());
-    }
-  }
-  std::sort(journals.begin(), journals.end());
-  return journals;
-}
 
 int cmd_fsck(const CliArgs& args) {
   if (!std::filesystem::is_directory(args.journal_dir)) {
