@@ -46,7 +46,7 @@ constexpr std::size_t kDims = 6;
 search::SearchSpace unit_cube() {
   search::SearchSpace s;
   for (std::size_t i = 0; i < kDims; ++i) {
-    s.add(search::ParamSpec::real("x" + std::to_string(i), 0.0, 1.0, 0.5));
+    s.add(search::ParamSpec::real(std::string("x").append(std::to_string(i)), 0.0, 1.0, 0.5));
   }
   return s;
 }

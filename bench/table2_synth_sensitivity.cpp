@@ -36,7 +36,7 @@ int main() {
   // Paper layout: rows are x10..x19, columns are the cases.
   Table table({"Feature", "Case 1", "Case 2", "Case 3", "Case 4", "Case 5"});
   for (std::size_t p = 10; p <= 19; ++p) {
-    std::vector<std::string> row{"x" + std::to_string(p)};
+    std::vector<std::string> row{std::string("x").append(std::to_string(p))};
     for (const auto& report : reports) {
       row.push_back(Table::pct(report.score("Group3", p), 2));
     }

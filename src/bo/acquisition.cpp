@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 #include "bo/nelder_mead.hpp"
@@ -44,6 +45,86 @@ double acquisition_score(AcquisitionKind kind, double mean, double sd, double be
   return 0.0;
 }
 
+namespace {
+
+// Relative margin below the best exact score at which a bound prunes.
+constexpr double kPruneMargin = 1e-9;
+
+/// An upper bound on acquisition_score(kind, mean, sd, best, params) over
+/// every sd in [0, max_sd], NaN mapped to +inf (see best_of_pool).
+double score_bound(AcquisitionKind kind, double mean, double max_sd, double best,
+                   const AcquisitionParams& params) {
+  double bound = 0.0;
+  switch (kind) {
+    case AcquisitionKind::ExpectedImprovement:
+      bound = acquisition_score(kind, mean, max_sd, best, params);
+      break;
+    case AcquisitionKind::ProbabilityOfImprovement:
+      bound = best - mean - params.xi > 0.0
+                  ? 1.0
+                  : acquisition_score(kind, mean, max_sd, best, params);
+      break;
+    case AcquisitionKind::LowerConfidenceBound:
+      bound = acquisition_score(kind, mean, params.beta >= 0.0 ? max_sd : 0.0, best, params);
+      break;
+  }
+  return std::isnan(bound) ? std::numeric_limits<double>::infinity() : bound;
+}
+
+}  // namespace
+
+PoolPick best_of_pool(const GaussianProcess& gp, const linalg::Matrix& pool,
+                      AcquisitionKind kind, const AcquisitionParams& params,
+                      double best_value) {
+  const GaussianProcess::MeanBlock block = gp.predict_means(pool);
+  const std::size_t m = pool.rows();
+  const double max_sd = gp.prior_stddev();
+  std::vector<double> bound(m);
+  for (std::size_t c = 0; c < m; ++c) {
+    bound[c] = score_bound(kind, block.mean[c], max_sd, best_value, params);
+  }
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return bound[a] > bound[b]; });
+
+  // Exact scores of the visited rows; a pruned row keeps NaN, which never
+  // wins.
+  std::vector<double> score(m, std::numeric_limits<double>::quiet_NaN());
+  double best_exact = -std::numeric_limits<double>::infinity();
+  PoolPick pick;
+  // Visit in rounds of one variance solve each; each round stops at the
+  // first bound below the cutoff, and so does the visit.
+  constexpr std::size_t kRound = GaussianProcess::kVarianceGroup;
+  std::vector<std::size_t> group;
+  group.reserve(kRound);
+  for (std::size_t next = 0; next < m;) {
+    const double cutoff = best_exact - kPruneMargin * std::abs(best_exact);
+    group.clear();
+    while (next < m && group.size() < kRound && !(bound[order[next]] < cutoff)) {
+      group.push_back(order[next++]);
+    }
+    if (group.empty()) break;
+    const std::vector<double> variance = gp.predict_variances(block.cross, group);
+    pick.variance_solves += group.size();
+    for (std::size_t q = 0; q < group.size(); ++q) {
+      const std::size_t c = group[q];
+      score[c] = acquisition_score(
+          kind, block.mean[c], GaussianProcess::Prediction{block.mean[c], variance[q]}.stddev(),
+          best_value, params);
+      if (score[c] > best_exact) best_exact = score[c];
+    }
+  }
+
+  for (std::size_t c = 0; c < m; ++c) {
+    if (score[c] > pick.score) {
+      pick.score = score[c];
+      pick.row = c;
+    }
+  }
+  return pick;
+}
+
 std::vector<double> maximize_acquisition(
     const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,
     double best_value, const std::vector<double>& incumbent_unit, tunekit::Rng& rng,
@@ -63,7 +144,7 @@ std::vector<double> maximize_acquisition(
                                      static_cast<double>(options.n_candidates));
 
   // Draw the whole pool first, keeping the accepted candidates in draw
-  // order, then score them as one block.
+  // order, then pick from them as one block.
   linalg::Matrix pool(options.n_candidates, d);
   std::size_t n_accepted = 0;
   std::vector<double> candidate(d);
@@ -85,20 +166,8 @@ std::vector<double> maximize_acquisition(
     pool = std::move(kept);
   }
 
-  // The first strictly best score wins; a NaN score never does.
-  std::vector<double> best_point;
-  double best_score = -std::numeric_limits<double>::infinity();
-  const auto preds = gp.predict_batch(pool);
-  for (std::size_t c = 0; c < preds.size(); ++c) {
-    const double s =
-        acquisition_score(kind, preds[c].mean, preds[c].stddev(), best_value, params);
-    if (s > best_score) {
-      best_score = s;
-      best_point = pool.row(c);
-    }
-  }
-
-  if (best_point.empty()) {
+  const PoolPick pick = best_of_pool(gp, pool, kind, params, best_value);
+  if (!pick.row) {
     // No candidate survived the feasibility filter; fall back to rejection
     // sampling so callers always get a point.
     for (std::size_t tries = 0; tries < 50000; ++tries) {
@@ -109,6 +178,8 @@ std::vector<double> maximize_acquisition(
         "maximize_acquisition: feasibility filter rejected every candidate");
   }
 
+  std::vector<double> best_point = pool.row(*pick.row);
+  const double best_score = pick.score;
   if (options.refine_iters > 0) {
     NelderMeadOptions nm;
     nm.max_iters = options.refine_iters;

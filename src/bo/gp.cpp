@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 #include "bo/lbfgs.hpp"
@@ -33,10 +34,6 @@ const double kLogNvLo = std::log(1e-8), kLogNvHi = std::log(1.0);
 const double kLogLsPriorMean = std::log(0.5);  // log l_k ~ N(kLogLsPriorMean, 1)
 // The score of a Gram that cannot be factored.
 constexpr double kFailed = 1e12;
-// Points per predict_batch block: one column group of
-// linalg::solve_lower_batch, and an n x 32 workspace (29 KB at n = 115)
-// small enough to stay in L1/L2 through the solve.
-constexpr std::size_t kPredictBlock = 32;
 
 /// Cholesky factor of a Gram with the GP's jitter escalation: the quiet
 /// ladder (1e-10 → 1e-6) handles ordinary round-off; if the Gram is
@@ -263,53 +260,95 @@ GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& 
   const double mean_std = linalg::dot(k, alpha_);
   const std::vector<double> v = linalg::solve_lower(chol_, k);
   const double k_self = hp_.signal_variance + hp_.noise_variance;
-  return unstandardize(point, mean_std, std::max(0.0, k_self - linalg::dot(v, v)));
+  return {unstandardize_mean(prior_mean_ ? prior_mean_(point) : 0.0, mean_std),
+          unstandardize_variance(std::max(0.0, k_self - linalg::dot(v, v)))};
 }
 
 std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
     const linalg::Matrix& points) const {
-  if (!fitted_) throw std::runtime_error("GaussianProcess::predict_batch before fit");
+  const MeanBlock block = predict_means(points);
+  std::vector<std::size_t> rows(points.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  const std::vector<double> variance = predict_variances(block.cross, rows);
+  std::vector<Prediction> out(points.rows());
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = {block.mean[c], variance[c]};
+  return out;
+}
+
+GaussianProcess::MeanBlock GaussianProcess::predict_means(const linalg::Matrix& points) const {
+  if (!fitted_) throw std::runtime_error("GaussianProcess::predict_means before fit");
   if (points.cols() != x_.cols()) {
-    throw std::invalid_argument("GaussianProcess::predict_batch: dimension mismatch");
+    throw std::invalid_argument("GaussianProcess::predict_means: dimension mismatch");
   }
+  MeanBlock block{kernel_cross_batch(kind_, x_, points, hp_), {}};
+  // Row i of the block holds k(x_i, .) for every point, so each lane sums
+  // in predict()'s order.
+  const std::size_t m = points.rows();
+  std::vector<double> mean_std(m, 0.0);
+  for (std::size_t i = 0; i < x_.rows(); ++i) {
+    const double* ki = block.cross.row_ptr(i);
+    for (std::size_t c = 0; c < m; ++c) mean_std[c] += ki[c] * alpha_[i];
+  }
+  block.mean.resize(m);
+  for (std::size_t c = 0; c < m; ++c) {
+    const double prior = prior_mean_ ? prior_mean_(points.row(c)) : 0.0;
+    block.mean[c] = unstandardize_mean(prior, mean_std[c]);
+  }
+  return block;
+}
+
+std::vector<double> GaussianProcess::predict_variances(
+    const linalg::Matrix& cross, const std::vector<std::size_t>& rows) const {
+  if (!fitted_) throw std::runtime_error("GaussianProcess::predict_variances before fit");
   const std::size_t n = x_.rows();
-  const std::size_t d = x_.cols();
+  if (cross.rows() != n) {
+    throw std::invalid_argument("GaussianProcess::predict_variances: block shape mismatch");
+  }
+  for (std::size_t r : rows) {
+    if (r >= cross.cols()) {
+      throw std::out_of_range("GaussianProcess::predict_variances: row out of range");
+    }
+  }
   const double k_self = hp_.signal_variance + hp_.noise_variance;
-  std::vector<Prediction> out;
-  out.reserve(points.rows());
-  for (std::size_t first = 0; first < points.rows(); first += kPredictBlock) {
-    const std::size_t m = std::min(kPredictBlock, points.rows() - first);
-    linalg::Matrix block(m, d);
-    std::copy(points.row_ptr(first), points.row_ptr(first) + m * d, block.data());
-    // Row i holds k(x_i, .) for the block's m points; the solve turns it
-    // into row i of V = L^{-1} K. Each lane sums in predict()'s order.
-    linalg::Matrix kv = kernel_cross_batch(kind_, x_, block, hp_);
-    std::array<double, kPredictBlock> mean_std{};
+  std::vector<double> out;
+  out.reserve(rows.size());
+  for (std::size_t first = 0; first < rows.size(); first += kVarianceGroup) {
+    const std::size_t m = std::min(kVarianceGroup, rows.size() - first);
+    // Gather the group's columns; the solve turns row i into row i of
+    // V = L^{-1} K, and each lane sums v . v in predict()'s order.
+    linalg::Matrix kv(n, m);
     for (std::size_t i = 0; i < n; ++i) {
-      const double* ki = kv.row_ptr(i);
-      for (std::size_t c = 0; c < m; ++c) mean_std[c] += ki[c] * alpha_[i];
+      const double* ci = cross.row_ptr(i);
+      double* kvi = kv.row_ptr(i);
+      for (std::size_t q = 0; q < m; ++q) kvi[q] = ci[rows[first + q]];
     }
     linalg::solve_lower_batch(chol_, kv);
-    std::array<double, kPredictBlock> vv{};
+    std::array<double, kVarianceGroup> vv{};
     for (std::size_t i = 0; i < n; ++i) {
       const double* vi = kv.row_ptr(i);
-      for (std::size_t c = 0; c < m; ++c) vv[c] += vi[c] * vi[c];
+      for (std::size_t q = 0; q < m; ++q) vv[q] += vi[q] * vi[q];
     }
-    for (std::size_t c = 0; c < m; ++c) {
-      out.push_back(unstandardize(block.row(c), mean_std[c], std::max(0.0, k_self - vv[c])));
+    for (std::size_t q = 0; q < m; ++q) {
+      out.push_back(unstandardize_variance(std::max(0.0, k_self - vv[q])));
     }
   }
   return out;
 }
 
-GaussianProcess::Prediction GaussianProcess::unstandardize(const std::vector<double>& point,
-                                                           double mean_std,
-                                                           double var_std) const {
-  Prediction p;
-  const double prior = prior_mean_ ? prior_mean_(point) : 0.0;
-  p.mean = prior + y_shift_ + y_scale_ * mean_std;
-  p.variance = y_scale_ * y_scale_ * var_std;
-  return p;
+double GaussianProcess::prior_stddev() const {
+  if (!fitted_) throw std::runtime_error("GaussianProcess::prior_stddev before fit");
+  // predict()'s variance with v . v = 0: k** - v . v <= k** and the scaling
+  // are monotone in floating point, so no prediction exceeds this one.
+  return Prediction{0.0, unstandardize_variance(hp_.signal_variance + hp_.noise_variance)}
+      .stddev();
+}
+
+double GaussianProcess::unstandardize_mean(double prior, double mean_std) const {
+  return prior + y_shift_ + y_scale_ * mean_std;
+}
+
+double GaussianProcess::unstandardize_variance(double var_std) const {
+  return y_scale_ * y_scale_ * var_std;
 }
 
 }  // namespace tunekit::bo

@@ -61,16 +61,47 @@ class GaussianProcess {
   Prediction predict(const std::vector<double>& point) const;
 
   /// predict() for every row of `points` (one point per row), entry c being
-  /// bit-identical to predict(points.row(c)): per point the same mean sum
-  /// k . alpha (ascending training index), the same forward substitution
-  /// L v = k and variance max(0, k** - v . v), and one prior-mean call. The
-  /// rows are scored in blocks of 32: one cross-kernel matrix
-  /// (kernel_cross_batch) and one multi-RHS solve (linalg::solve_lower_batch)
-  /// per block, where predict() runs one latency-bound substitution per
-  /// point. For scoring a candidate pool; a single point is cheaper through
-  /// predict(). Throws as predict() does (before fit(), on a column count
-  /// other than dim()); zero rows give an empty result.
+  /// bit-identical to predict(points.row(c)): predict_means over every row,
+  /// then predict_variances over every row. For scoring a whole block of
+  /// points; a single point is cheaper through predict(). Throws as
+  /// predict() does (before fit(), on a column count other than dim()); zero
+  /// rows give an empty result.
   std::vector<Prediction> predict_batch(const linalg::Matrix& points) const;
+
+  /// The first half of predict_batch. `cross` is K(X, P) for the training
+  /// rows X and every row of `points` (kernel_cross_batch: n_points() x
+  /// points.rows()); mean[c] is bit-identical to predict(points.row(c)).mean
+  /// — the same sum k . alpha in ascending training index, and one
+  /// prior-mean call per row. O(N) per point once `cross` is built.
+  struct MeanBlock {
+    linalg::Matrix cross;
+    std::vector<double> mean;
+  };
+  MeanBlock predict_means(const linalg::Matrix& points) const;
+
+  /// The second half: the variance of the points at `rows` (indices into
+  /// the points whose block predict_means returned), entry j bit-identical
+  /// to predict(points.row(rows[j])).variance — the same forward
+  /// substitution L v = k and variance y_scale^2 max(0, k** - v . v). Their
+  /// columns of `cross` are gathered in groups of kVarianceGroup and each
+  /// group runs one multi-RHS solve (linalg::solve_lower_batch), where
+  /// predict() runs one latency-bound substitution per point: O(N^2) per
+  /// chosen point, paid only for the points chosen. Every variance is at
+  /// most prior_stddev()^2.
+  std::vector<double> predict_variances(const linalg::Matrix& cross,
+                                        const std::vector<std::size_t>& rows) const;
+
+  /// Points per solve of predict_variances: one column group of
+  /// linalg::solve_lower_batch, and an N x 32 workspace (29 KB at N = 115)
+  /// that stays in L1/L2 through the solve. A caller choosing points in
+  /// rounds loses nothing with rounds of this size.
+  static constexpr std::size_t kVarianceGroup = 32;
+
+  /// The prior standard deviation y_scale sqrt(signal + noise variance),
+  /// rounded so that predict(x).stddev() <= prior_stddev() holds exactly in
+  /// floating point for every x: a variance-free bound on the predictive
+  /// uncertainty. Throws before fit().
+  double prior_stddev() const;
 
   /// Log marginal likelihood of the current fit (standardized targets);
   /// the lengthscale prior of the search is not included.
@@ -110,10 +141,10 @@ class GaussianProcess {
   void standardize();
   /// Gram, factor, alpha and LML at the current hyperparameters.
   void factor();
-  /// The prediction in raw target units from its standardized mean and
-  /// variance at `point` (adds the prior mean, if any).
-  Prediction unstandardize(const std::vector<double>& point, double mean_std,
-                           double var_std) const;
+  /// The mean and variance in raw target units from their standardized
+  /// values; `prior` is the prior mean at the point (0 without one).
+  double unstandardize_mean(double prior, double mean_std) const;
+  double unstandardize_variance(double var_std) const;
 
   KernelKind kind_;
   GpHyperparams hp_;

@@ -73,9 +73,14 @@ std::vector<double> kernel_cross(KernelKind kind, const linalg::Matrix& x,
                                  const GpHyperparams& hp);
 
 /// Cross-covariance matrix K(X, P): x.rows() x points.rows(), column c being
-/// kernel_cross(kind, x, points.row(c), hp) bit for bit (the same kernel
-/// evaluation per pair). Laid out for GaussianProcess::predict_batch, which
-/// sweeps each training row across a block of candidates.
+/// kernel_cross(kind, x, points.row(c), hp) bit for bit. Row i holds k(x_i, .)
+/// for every point, the layout GaussianProcess::predict_means sweeps (one
+/// mean lane per point) and linalg::solve_lower_batch solves (one
+/// right-hand side per point). The distances run across points: the points
+/// are copied coordinate-major into groups of 32 lanes, and each lane runs
+/// linalg::scaled_squared_distance's operations ((x_ik - p_ck) / l_k,
+/// squared, summed over ascending k) as vector code; the kernel's exp then
+/// runs per pair, as in kernel_cross.
 linalg::Matrix kernel_cross_batch(KernelKind kind, const linalg::Matrix& x,
                                   const linalg::Matrix& points, const GpHyperparams& hp);
 

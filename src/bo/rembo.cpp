@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "bo/bayes_opt.hpp"
 
@@ -36,7 +37,10 @@ search::SearchResult Rembo::run(search::Objective& objective,
 
   search::SearchSpace embedded;
   for (std::size_t k = 0; k < d; ++k) {
-    embedded.add(search::ParamSpec::real("y" + std::to_string(k), -box, box, 0.0));
+    // Not "y" + std::to_string(k), which GCC 12 at -O3 misreads as an
+    // overlapping copy (-Wrestrict).
+    embedded.add(search::ParamSpec::real(std::string("y").append(std::to_string(k)), -box,
+                                         box, 0.0));
   }
   embedded.add_constraint("feasible-projection", [&](const search::Config& y) {
     return space.is_valid(to_full(y));

@@ -253,7 +253,10 @@ json::Value SessionManager::create(const json::Value& spec) {
   // its own shard, so only that shard's lock is taken per attempt.
   while (!inserted) {
     if (id.empty()) {
-      id = "s" + std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
+      // Not "s" + std::to_string(...), which GCC 12 at -O3 misreads as an
+      // overlapping copy (-Wrestrict).
+      id = std::string("s").append(
+          std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed)));
     }
     Shard& shard = shard_for(id);
     std::lock_guard<std::mutex> lock(shard.mutex);

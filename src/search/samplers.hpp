@@ -26,8 +26,9 @@ std::vector<Config> sample_valid_configs(const SearchSpace& space, std::size_t n
                                          tunekit::Rng& rng, bool latin_hypercube = true);
 
 /// Full-factorial grid over discrete levels; Real parameters get
-/// `real_levels` equispaced levels. Throws if the grid would exceed
-/// `max_points`.
+/// `real_levels` equispaced levels. Returns only the valid configurations
+/// (SearchSpace::is_valid), in odometer order. Throws if the full grid would
+/// exceed `max_points`.
 std::vector<Config> grid_configs(const SearchSpace& space, std::size_t real_levels,
                                  std::size_t max_points = 2'000'000);
 

@@ -144,7 +144,6 @@ TuningSession::TuningSession(const search::SearchSpace& space, SessionOptions op
   }
   if (options_.backend == SessionBackend::Grid) {
     grid_ = search::grid_configs(space_, options_.grid_real_levels);
-    std::erase_if(grid_, [&](const search::Config& c) { return !space_.is_valid(c); });
     if (options_.max_evals > 0 && grid_.size() > options_.max_evals) {
       // Deterministic stride subsample: the budget covers the grid evenly.
       std::vector<search::Config> kept;

@@ -1,6 +1,7 @@
 #include "synth/synth_app.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -9,8 +10,10 @@ namespace tunekit::synth {
 SynthApp::SynthApp(SynthCase which, double noise_scale, std::uint64_t baseline_seed)
     : fn_(which, noise_scale, baseline_seed ^ 0x5117a17e) {
   for (std::size_t i = 0; i < SyntheticFunction::kDim; ++i) {
-    space_.add(search::ParamSpec::real("x" + std::to_string(i), SyntheticFunction::kLo,
-                                       SyntheticFunction::kHi, 1.0));
+    // Not "x" + std::to_string(i), which GCC 12 at -O3 misreads as an
+    // overlapping copy (-Wrestrict).
+    space_.add(search::ParamSpec::real(std::string("x").append(std::to_string(i)),
+                                       SyntheticFunction::kLo, SyntheticFunction::kHi, 1.0));
   }
   // Random baseline from the domain-expert band |x| in [2, 15] (methodology
   // step 1: experts center the analysis on a non-degenerate operating

@@ -22,7 +22,7 @@ using search::SearchSpace;
 SearchSpace bowl_space(std::size_t dims = 2) {
   SearchSpace s;
   for (std::size_t i = 0; i < dims; ++i) {
-    s.add(ParamSpec::real("x" + std::to_string(i), -5.0, 5.0, 0.0));
+    s.add(ParamSpec::real(std::string("x").append(std::to_string(i)), -5.0, 5.0, 0.0));
   }
   return s;
 }

@@ -219,7 +219,7 @@ TEST(ShardOf, StableInRangeAndSpreads) {
   const std::size_t n = 8;
   std::set<std::size_t> used;
   for (int i = 0; i < 256; ++i) {
-    const std::string id = "s" + std::to_string(i);
+    const std::string id = std::string("s").append(std::to_string(i));
     const std::size_t shard = common::shard_of(id, n);
     EXPECT_LT(shard, n);
     // Deterministic: the same id always lands on the same shard.

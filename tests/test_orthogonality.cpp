@@ -15,7 +15,7 @@ using search::SearchSpace;
 SearchSpace cube(std::size_t dims) {
   SearchSpace s;
   for (std::size_t i = 0; i < dims; ++i) {
-    s.add(ParamSpec::real("p" + std::to_string(i), 0.5, 10.0, 2.0));
+    s.add(ParamSpec::real(std::string("p").append(std::to_string(i)), 0.5, 10.0, 2.0));
   }
   return s;
 }

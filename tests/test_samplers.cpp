@@ -85,7 +85,7 @@ TEST(GridConfigs, ConstraintsFilter) {
 TEST(GridConfigs, ExplosionGuard) {
   SearchSpace space;
   for (int i = 0; i < 10; ++i) {
-    space.add(ParamSpec::integer("p" + std::to_string(i), 1, 10, 1));
+    space.add(ParamSpec::integer(std::string("p").append(std::to_string(i)), 1, 10, 1));
   }
   EXPECT_THROW(grid_configs(space, 2, 1000), std::runtime_error);
 }

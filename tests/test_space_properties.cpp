@@ -18,7 +18,7 @@ SearchSpace random_space(Rng& rng) {
   SearchSpace space;
   const auto dims = static_cast<std::size_t>(rng.uniform_int(1, 8));
   for (std::size_t i = 0; i < dims; ++i) {
-    const std::string name = "p" + std::to_string(i);
+    const std::string name = std::string("p").append(std::to_string(i));
     switch (rng.uniform_int(0, 3)) {
       case 0: {
         const double lo = rng.uniform(-100.0, 50.0);

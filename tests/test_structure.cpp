@@ -197,7 +197,7 @@ const std::vector<std::vector<std::size_t>> kWrongBlocks{{0, 3}, {1, 4}, {2, 5}}
 search::SearchSpace unit_cube() {
   search::SearchSpace s;
   for (std::size_t i = 0; i < kDims; ++i) {
-    s.add(search::ParamSpec::real("x" + std::to_string(i), 0.0, 1.0, 0.5));
+    s.add(search::ParamSpec::real(std::string("x").append(std::to_string(i)), 0.0, 1.0, 0.5));
   }
   return s;
 }
@@ -291,7 +291,7 @@ using service::TuningSession;
 search::SearchSpace four_dim_space() {
   search::SearchSpace s;
   for (int i = 0; i < 4; ++i) {
-    s.add(search::ParamSpec::real("p" + std::to_string(i), 0.0, 1.0, 0.5));
+    s.add(search::ParamSpec::real(std::string("p").append(std::to_string(i)), 0.0, 1.0, 0.5));
   }
   return s;
 }

@@ -17,7 +17,7 @@ using search::SearchSpace;
 SearchSpace unit_space(std::size_t dims) {
   SearchSpace s;
   for (std::size_t i = 0; i < dims; ++i) {
-    s.add(ParamSpec::real("x" + std::to_string(i), 0.0, 1.0, 0.5));
+    s.add(ParamSpec::real(std::string("x").append(std::to_string(i)), 0.0, 1.0, 0.5));
   }
   return s;
 }

@@ -608,10 +608,13 @@ double percentile(std::vector<double>& values, double q) {
 /// segments included, damaged lines skipped) and the compaction snapshot
 /// adds the evaluations compaction folded out of them — a compacted
 /// evaluation counts as a tell when its outcome is ok and as a drop
-/// otherwise. The snapshot keeps no failed attempts and no fleet nodes, so
-/// Fails, the failed attempts by outcome and the per-node table count only
-/// what compaction has not folded yet. Configs are never decoded: the
-/// searches of one checkpoint dir have different arities.
+/// otherwise. Compaction keeps no `fail` records, so Fails and the failed
+/// attempts by outcome are the cumulative `fails` / `outcomes` of the latest
+/// {"e":"metrics"} record plus the `fail` records after it (the `fail`
+/// records alone when there is no metrics record). The snapshot keeps no
+/// fleet nodes either, and no record counts them, so the per-node table
+/// counts only what compaction has not folded yet. Configs are never
+/// decoded: the searches of one checkpoint dir have different arities.
 JournalSummary summarize_journal(const std::filesystem::path& path, std::string name) {
   const std::string file = path.string();
   const auto scan = service::SessionStore::scan(file);
@@ -657,7 +660,13 @@ JournalSummary summarize_journal(const std::filesystem::path& path, std::string 
     } else if (e == "drop") {
       ++s.drops;
     } else if (e == "metrics") {
-      if (rec.contains("snap")) s.metrics = rec.at("snap");
+      if (rec.contains("snap")) {
+        // Counts every failed attempt so far; later fail records add to it.
+        s.metrics = rec.at("snap");
+        const auto m = service::SessionMetrics::from_json(s.metrics);
+        s.fails = m.fails;
+        s.failure_outcomes = m.failure_outcomes;
+      }
     } else if (e == "struct") {
       // Latest dependency-structure snapshot wins, same contract as metrics;
       // its embedded adoption history covers every earlier repartition, so
